@@ -20,7 +20,7 @@ from .core import (
     StateSpace,
     TreatmentDataset,
     estimate_markov,
-    square_2x2,
+    is_square_2x2,
     stationarity_diagnostic,
     triangle_3,
 )
@@ -176,9 +176,7 @@ def _vnm_params_from(est: MarkovEstimate, data: TreatmentDataset, burn_in: int) 
 def run_minimax(config: AnalysisConfig) -> dict:
     """Test the independent-randomization prediction: per-treatment nulls on
     entropy and EPR, plus across-treatment paired comparisons."""
-    if config.space.size != 4 or not np.array_equal(
-        config.space.coordinates, square_2x2().coordinates
-    ):
+    if not is_square_2x2(config.space):
         raise ConfigError(
             "minimax-test needs the 4-state square space "
             "(index = 2*row_action + col_action)"

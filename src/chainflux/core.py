@@ -22,7 +22,9 @@ __all__ = [
     "MarkovEstimate",
     "StationarityDiagnostic",
     "square_2x2",
+    "is_square_2x2",
     "triangle_3",
+    "chain_from_counts",
     "estimate_markov",
     "stationarity_diagnostic",
 ]
@@ -78,6 +80,14 @@ def square_2x2() -> StateSpace:
     return StateSpace(
         labels=("(0,0)", "(0,1)", "(1,0)", "(1,1)"),
         coordinates=np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]),
+    )
+
+
+def is_square_2x2(space: StateSpace) -> bool:
+    """True for the canonical square space of square_2x2(): 4 states whose
+    index is 2*row_action + col_action."""
+    return space.size == 4 and np.array_equal(
+        space.coordinates, square_2x2().coordinates
     )
 
 
@@ -225,6 +235,23 @@ def _retained(data: TreatmentDataset, burn_in: int) -> list[np.ndarray]:
     return [s for s in kept if s.size > 0]
 
 
+def chain_from_counts(
+    occupancy: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Normalize raw counts into (dos, transition), over any leading batch axes.
+
+    occupancy has shape (..., r) and counts (..., r, r). The DOS is occupancy
+    over its total; each transition row is its counts over the row total, and
+    rows of never-left states stay all-zero.
+    """
+    dos = occupancy / occupancy.sum(axis=-1, keepdims=True)
+    row_tot = counts.sum(axis=-1, keepdims=True)
+    transition = np.divide(
+        counts, row_tot, out=np.zeros(counts.shape), where=row_tot > 0
+    )
+    return dos, transition
+
+
 def estimate_markov(data: TreatmentDataset, burn_in: int = 0) -> MarkovEstimate:
     """Estimate (dos, transition) from all sessions of a treatment.
 
@@ -255,14 +282,7 @@ def estimate_markov(data: TreatmentDataset, burn_in: int = 0) -> MarkovEstimate:
             f"treatment {data.treatment_id!r}: no transition pairs after "
             f"burn_in={burn_in}"
         )
-    dos = occupancy / n_obs
-    row_tot = counts.sum(axis=1)
-    transition = np.divide(
-        counts,
-        row_tot[:, None],
-        out=np.zeros((r, r), dtype=float),
-        where=row_tot[:, None] > 0,
-    )
+    dos, transition = chain_from_counts(occupancy, counts)
     return MarkovEstimate(
         space=data.space,
         dos=dos,
@@ -270,7 +290,7 @@ def estimate_markov(data: TreatmentDataset, burn_in: int = 0) -> MarkovEstimate:
         counts=counts,
         occupancy=occupancy,
         n_observations=n_obs,
-        has_outflow=row_tot > 0,
+        has_outflow=counts.sum(axis=1) > 0,
     )
 
 

@@ -1,6 +1,7 @@
 """CSV ingestion, state-space descriptors, and JSON report serialization.
 
-CSV contract (UTF-8, comma-separated, header mandatory), one of:
+CSV contract (UTF-8, optionally with a byte-order mark, comma-separated,
+header mandatory), one of:
 
     treatment_id,session_id,round,state
     treatment_id,session_id,round,row_action,col_action
@@ -11,8 +12,10 @@ observations). A session_id change starts a new session. Action pairs map
 to state = 2*row_action + col_action. The two encodings are never mixed
 within one file.
 
-Reports are a single JSON document; floats serialize via repr (17
-significant digits), so write-then-parse round-trips bit-for-bit.
+Reports are a single strict JSON document (no NaN or Infinity); floats
+serialize via repr (17 significant digits), so write-then-parse round-trips
+bit-for-bit. A report is written to a temporary file beside the target and
+then renamed into place, so a failed write never leaves a partial file.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import os
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -140,7 +144,7 @@ def load_csv(path, space: StateSpace) -> list[TreatmentDataset]:
     """
     path = Path(path)
     try:
-        fh = path.open(newline="", encoding="utf-8")
+        fh = path.open(newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     with fh:
@@ -224,11 +228,19 @@ def load_csv(path, space: StateSpace) -> list[TreatmentDataset]:
 
 def write_csv(datasets, path, encoding: str = "state") -> None:
     """Write datasets in the load_csv contract; inverse of load_csv on
-    content. encoding='actions' requires the 4-state square convention."""
+    content. encoding='actions' requires the 4-state square convention.
+
+    Raises:
+        ReportIoError: the file cannot be created.
+    """
     if encoding not in ("state", "actions"):
         raise ValueError(f"encoding must be 'state' or 'actions', got {encoding!r}")
     path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    try:
+        fh = path.open("w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ReportIoError(f"cannot write {path}: {exc}") from exc
+    with fh:
         writer = csv.writer(fh)
         writer.writerow(_ACTION_HEADER if encoding == "actions" else _STATE_HEADER)
         for data in datasets:
@@ -303,6 +315,10 @@ def write_report(
     fits:    mapping name -> OlsFit (or prepared dict).
     The creation timestamp is suppressed when reproducible is True so that
     identical inputs produce byte-identical files.
+
+    Raises:
+        ReportIoError: the document holds NaN or Infinity, or the file
+            cannot be written; the target path is left untouched.
     """
     if tool_version is None:
         from . import __version__ as tool_version
@@ -322,8 +338,19 @@ def write_report(
     if not reproducible:
         document["created_at"] = datetime.now(timezone.utc).isoformat()
     try:
-        with Path(path).open("w", encoding="utf-8") as fh:
-            json.dump(document, fh, indent=2, sort_keys=True, default=_jsonable)
-            fh.write("\n")
+        text = json.dumps(
+            document, indent=2, sort_keys=True, default=_jsonable, allow_nan=False
+        )
+    except ValueError as exc:
+        raise ReportIoError(f"report for {path} is not valid JSON: {exc}") from exc
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        try:
+            tmp.write_text(text + "\n", encoding="utf-8")
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
     except OSError as exc:
-        raise ReportIoError(f"cannot write report to {path}: {exc}") from exc
+        reason = exc.strerror or exc
+        raise ReportIoError(f"cannot write report to {path}: {reason}") from exc

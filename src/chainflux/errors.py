@@ -73,4 +73,4 @@ class NonMonotoneRoundsError(ParseError):
 
 
 class ReportIoError(ChainfluxError):
-    """Report file could not be written."""
+    """A report or record file could not be written."""

@@ -6,10 +6,15 @@ empirical DOS (the finite-sample baseline for cycle detection). Replicate k
 of any run draws from a counter-based stream derived only from (root seed,
 k), so results are identical under any execution order, chunking, or number
 of worker processes.
+
+Replicates are evaluated in blocks: one (B, n) array of uniforms, one
+offset bincount for the occupancy and pair counts of all B replicates, and
+the batched observables. A block holds at most _BLOCK_DRAWS uniforms.
 """
 
 from __future__ import annotations
 
+import os
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -20,11 +25,11 @@ from .core import (
     StateSpace,
     Trajectory,
     TreatmentDataset,
-    estimate_markov,
-    square_2x2,
+    chain_from_counts,
+    is_square_2x2,
 )
 from .errors import InvalidDistributionError
-from .observables import ZeroFluxPolicy, entropy, epr
+from .observables import ZeroFluxPolicy, entropy_batch, epr_batch
 
 __all__ = [
     "Seed",
@@ -38,6 +43,8 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _NORM_TOL = 1e-9
+# Uniform draws per replicate block; larger blocks only cost memory.
+_BLOCK_DRAWS = 2**15
 
 
 def _splitmix64(z: int) -> int:
@@ -168,7 +175,10 @@ def simulate_chain(
     return Trajectory(session_id=session_id, states=states)
 
 
-_SQUARE_COORDS = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+def _vnm_states(u: np.ndarray, p: float, q: float) -> np.ndarray:
+    """Joint states 2*row_action + col_action from uniforms of shape
+    (..., 2, rounds): the row player's draws come before the column's."""
+    return 2 * (u[..., 0, :] < p) + (u[..., 1, :] < q)
 
 
 def simulate_vnm(
@@ -184,69 +194,93 @@ def simulate_vnm(
     count and rounds per session come from params, so the sample size matches
     the treatment the null is built for.
     """
-    if space.size != 4 or not np.array_equal(space.coordinates, _SQUARE_COORDS):
+    if not is_square_2x2(space):
         raise ValueError(
             "simulate_vnm needs the canonical 4-state square space "
             "(index = 2*row_action + col_action)"
         )
-    rng = seed.generator()
-    sessions = []
-    for k in range(params.sessions):
-        rows = rng.random(params.rounds_per_session) < params.p
-        cols = rng.random(params.rounds_per_session) < params.q
-        states = 2 * rows.astype(np.int64) + cols.astype(np.int64)
-        sessions.append(Trajectory(session_id=f"s{k + 1}", states=states))
+    shape = (params.sessions, 2, params.rounds_per_session)
+    states = _vnm_states(seed.generator().random(shape), params.p, params.q)
     return TreatmentDataset(
         treatment_id=treatment_id,
         space=space,
-        sessions=tuple(sessions),
+        sessions=tuple(
+            Trajectory(session_id=f"s{k + 1}", states=s)
+            for k, s in enumerate(states)
+        ),
         meta={"model": "vnm", "p": params.p, "q": params.q},
     )
 
 
+def _blocks(lo: int, hi: int, draws_per_replicate: int) -> list[tuple[int, int]]:
+    size = max(1, _BLOCK_DRAWS // draws_per_replicate)
+    return [(k, min(k + size, hi)) for k in range(lo, hi, size)]
+
+
+def _uniforms(seed: Seed, lo: int, hi: int, n: int) -> np.ndarray:
+    """Row k - lo holds the first n uniforms of replicate k's stream."""
+    u = np.empty((hi - lo, n))
+    for row, k in enumerate(range(lo, hi)):
+        seed.split(k).generator().random(out=u[row])
+    return u
+
+
+def _block_chains(states: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """(dos, flux) of B replicates from states of shape (B, sessions, rounds).
+
+    One offset bincount over the block gives every replicate's occupancy,
+    another its within-session pair counts.
+    """
+    b = states.shape[0]
+    offset = np.arange(b)[:, None, None]
+    occupancy = np.bincount(
+        (states + offset * r).ravel(), minlength=b * r
+    ).reshape(b, r)
+    codes = states[:, :, :-1] * r + states[:, :, 1:] + offset * (r * r)
+    counts = np.bincount(codes.ravel(), minlength=b * r * r).reshape(b, r, r)
+    dos, transition = chain_from_counts(occupancy, counts)
+    return dos, dos[:, :, None] * transition
+
+
 def _vnm_chunk(
     params: VnmParams,
-    space: StateSpace,
     policy: ZeroFluxPolicy,
     seed: Seed,
     lo: int,
     hi: int,
 ) -> tuple[np.ndarray, np.ndarray]:
+    shape = (params.sessions, 2, params.rounds_per_session)
+    draws = 2 * params.sessions * params.rounds_per_session
     ent = np.empty(hi - lo)
     pro = np.empty(hi - lo)
-    for k in range(lo, hi):
-        data = simulate_vnm(params, space, seed.split(k))
-        est = estimate_markov(data)
-        ent[k - lo] = entropy(est)
-        pro[k - lo], _ = epr(est, policy)
+    for start, stop in _blocks(lo, hi, draws):
+        u = _uniforms(seed, start, stop, draws).reshape(-1, *shape)
+        states = _vnm_states(u, params.p, params.q)
+        dos, flux = _block_chains(states, 4)
+        ent[start - lo : stop - lo] = entropy_batch(dos)
+        pro[start - lo : stop - lo], _ = epr_batch(flux, policy)
     return ent, pro
-
-
-def _iid_sequence(cum: list[float], r: int, n: int, seed: Seed) -> np.ndarray:
-    u = seed.generator().random(n)
-    return np.minimum(np.searchsorted(cum, u, side="right"), r - 1).astype(np.int64)
 
 
 def _dos_chunk(
     dos: np.ndarray,
-    space: StateSpace,
     n_rounds: int,
     policy: ZeroFluxPolicy,
     seed: Seed,
     lo: int,
     hi: int,
 ) -> np.ndarray:
-    cum = np.cumsum(dos).tolist()
-    r = space.size
+    # state = number of cumulative-DOS cuts at or below u, which is
+    # min(searchsorted(cumsum(dos), u, 'right'), r - 1)
+    cuts = np.cumsum(dos)[:-1]
     out = np.empty(hi - lo)
-    for k in range(lo, hi):
-        states = _iid_sequence(cum, r, n_rounds, seed.split(k))
-        data = TreatmentDataset(
-            treatment_id="baseline",
-            space=space,
-            sessions=(Trajectory(session_id="s1", states=states),),
-        )
-        out[k - lo], _ = epr(estimate_markov(data), policy)
+    for start, stop in _blocks(lo, hi, n_rounds):
+        u = _uniforms(seed, start, stop, n_rounds)
+        states = np.zeros(u.shape, dtype=np.int64)
+        for cut in cuts:
+            states += u >= cut
+        _, flux = _block_chains(states[:, None, :], dos.size)
+        out[start - lo : stop - lo], _ = epr_batch(flux, policy)
     return out
 
 
@@ -256,11 +290,19 @@ def _chunk_ranges(reps: int, workers: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, reps)) for lo in range(0, reps, step)]
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 def _run_chunks(fn, common_args: tuple, reps: int, workers: int) -> list:
+    workers = min(workers, _usable_cpus())
     ranges = _chunk_ranges(reps, workers)
     if workers <= 1 or len(ranges) == 1:
         return [fn(*common_args, lo, hi) for lo, hi in ranges]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(ranges))) as pool:
         futures = [pool.submit(fn, *common_args, lo, hi) for lo, hi in ranges]
         return [f.result() for f in futures]
 
@@ -278,13 +320,18 @@ def vnm_null_distribution(
     under params, estimates its chain, and records entropy and EPR.
 
     Returns (entropy baseline, EPR baseline) with `reps` samples each, in
-    replicate order.
+    replicate order. The null always plays on the canonical square space;
+    a `space` given here must be that space. `workers` is capped at the
+    number of CPUs the process may use.
     """
     if reps < 2:
         raise ValueError("reps must be >= 2")
-    if space is None:
-        space = square_2x2()
-    results = _run_chunks(_vnm_chunk, (params, space, policy, seed), reps, workers)
+    if space is not None and not is_square_2x2(space):
+        raise ValueError(
+            "the independent-play null needs the canonical 4-state square "
+            "space (index = 2*row_action + col_action)"
+        )
+    results = _run_chunks(_vnm_chunk, (params, policy, seed), reps, workers)
     ent = np.concatenate([r[0] for r in results])
     pro = np.concatenate([r[1] for r in results])
     constraint = {
@@ -313,6 +360,7 @@ def dos_baseline(
 
     The sample set is the corrected zero for a treatment with that DOS and
     record count; temporal order is destroyed while occupancy is preserved.
+    `workers` is capped at the number of CPUs the process may use.
     """
     dos = np.asarray(dos, dtype=float)
     _check_distribution(dos, "dos")
@@ -320,14 +368,7 @@ def dos_baseline(
         raise ValueError("n_rounds must be >= 2")
     if reps < 2:
         raise ValueError("reps must be >= 2")
-    r = dos.size
-    space = StateSpace(
-        labels=tuple(str(i) for i in range(r)),
-        coordinates=np.arange(r, dtype=float)[:, None],
-    )
-    results = _run_chunks(
-        _dos_chunk, (dos, space, n_rounds, policy, seed), reps, workers
-    )
+    results = _run_chunks(_dos_chunk, (dos, n_rounds, policy, seed), reps, workers)
     samples = np.concatenate(results)
     return BaselineDistribution(
         "epr",

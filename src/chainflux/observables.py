@@ -26,7 +26,9 @@ __all__ = [
     "ZeroFluxPolicy",
     "ObservableReport",
     "entropy",
+    "entropy_batch",
     "epr",
+    "epr_batch",
     "velocity",
     "motion",
     "full_report",
@@ -114,59 +116,92 @@ def _pair_indices(r: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(r, k=1)
 
 
+def entropy_batch(dos: np.ndarray) -> np.ndarray:
+    """Normalized Shannon entropy of each DOS row: shape (B, r) -> (B,).
+
+    -sum_i P_i log_r P_i in [0, 1]; zero-probability states contribute 0.
+    """
+    # Sum only the nonzero terms, as one contiguous run per row in state
+    # order: numpy's pairwise summation groups terms by position once a row
+    # has 8 or more, so interleaved zeros could change the last bit.
+    pos = dos > 0.0
+    rows, _ = np.nonzero(pos)
+    packed = np.zeros(dos.shape)
+    packed[rows, np.cumsum(pos, axis=1)[pos] - 1] = dos[pos]
+    counts = pos.sum(axis=1)
+    out = np.empty(dos.shape[0])
+    # set() rather than np.unique, whose first call adds about 1 MB of RSS
+    for m in set(counts.tolist()):
+        same = counts == m
+        p = packed[same, :m]
+        out[same] = -(p * np.log(p)).sum(axis=1) / math.log(dos.shape[1])
+    return out
+
+
 def entropy(chain: MarkovEstimate) -> float:
     """Normalized Shannon entropy of the DOS, -sum_i P_i log_r P_i in [0, 1].
 
     Depends on the DOS only; zero-probability states contribute 0.
     """
-    dos = chain.dos
-    nz = dos[dos > 0.0]
-    return float(-(nz * np.log(nz)).sum() / math.log(chain.space.size))
+    return float(entropy_batch(chain.dos[None])[0])
 
 
-def epr(
-    chain: MarkovEstimate, policy: ZeroFluxPolicy | None = None
-) -> tuple[float, int]:
-    """Entropy production rate per observation step, with base-r logs.
+def epr_batch(
+    flux: np.ndarray, policy: ZeroFluxPolicy | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """EPR of each of B chains given as directed fluxes flux[k, i, j] =
+    P_i w_ij, shape (B, r, r). Returns (epr, skipped_pairs), each shape (B,).
 
     Each unordered pair {i, j} contributes (a - b) * log_r(a / b) with
     a = P_i w_ij and b = P_j w_ji, which equals the ordered-pair sum with
-    its 1/2 prefactor. Every term is nonnegative, so the total is >= 0.
-    Returns (epr, skipped_pairs).
+    its 1/2 prefactor. Every term is nonnegative, so each total is >= 0.
 
     Raises:
         OneSidedZeroFluxError: strict policy and some pair has exactly one
-            zero flux.
+            zero flux; names the pair of the lowest such chain k.
     """
     if policy is None:
         policy = ZeroFluxPolicy.skip()
-    r = chain.space.size
-    flux = chain.dos[:, None] * chain.transition
+    r = flux.shape[-1]
     iu, ju = _pair_indices(r)
-    a = flux[iu, ju]
-    b = flux[ju, iu]
+    a = flux[:, iu, ju]
+    b = flux[:, ju, iu]
     both = (a > 0.0) & (b > 0.0)
     one_sided = (a > 0.0) ^ (b > 0.0)
     ln_r = math.log(r)
 
-    terms = np.zeros_like(a)
+    terms = np.zeros(a.shape)
     terms[both] = (a[both] - b[both]) * (np.log(a[both]) - np.log(b[both])) / ln_r
 
-    skipped = 0
+    skipped = np.zeros(a.shape[0], dtype=np.int64)
     if one_sided.any():
         if policy.mode == "strict":
-            k = int(np.flatnonzero(one_sided)[0])
+            k, m = np.argwhere(one_sided)[0]
             raise OneSidedZeroFluxError(
-                int(iu[k]), int(ju[k]), float(a[k]), float(b[k])
+                int(iu[m]), int(ju[m]), float(a[k, m]), float(b[k, m])
             )
         if policy.mode == "skip":
-            skipped = int(one_sided.sum())
+            skipped = one_sided.sum(axis=1)
         else:  # smooth
             eps = policy.epsilon
             ae = a[one_sided] + eps
             be = b[one_sided] + eps
             terms[one_sided] = (ae - be) * (np.log(ae) - np.log(be)) / ln_r
-    return float(terms.sum()), skipped
+    return terms.sum(axis=1), skipped
+
+
+def epr(
+    chain: MarkovEstimate, policy: ZeroFluxPolicy | None = None
+) -> tuple[float, int]:
+    """Entropy production rate per observation step, with base-r logs:
+    epr_batch for the single chain. Returns (epr, skipped_pairs).
+
+    Raises:
+        OneSidedZeroFluxError: strict policy and some pair has exactly one
+            zero flux.
+    """
+    values, skipped = epr_batch((chain.dos[:, None] * chain.transition)[None], policy)
+    return float(values[0]), int(skipped[0])
 
 
 def velocity(chain: MarkovEstimate) -> np.ndarray:

@@ -85,6 +85,16 @@ class TestSimulate:
         )
         assert code == 1
 
+    def test_unwritable_output_exit_1(self, capsys, tmp_path):
+        out = tmp_path / "no-dir" / "x.csv"
+        code, _, err = run_cli(
+            capsys, "simulate", "--model", "vnm", "--rounds", "10",
+            "--output", str(out),
+        )
+        assert code == 1
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert "internal error" not in err
+
 
 class TestAnalyze:
     def test_ring_pipeline_recovers_closed_form(self, capsys, tmp_path):
@@ -391,6 +401,23 @@ class TestExitCodesAndDeterminism:
         )
         assert code == 2
         assert "internal error" in err
+
+    def test_non_finite_report_exit_1(self, capsys, monkeypatch, tmp_path):
+        import chainflux.cli as cli_module
+
+        def nan_report(config):
+            cli_module.write_report([{"epr": float("nan")}], {}, {}, config.output)
+
+        monkeypatch.setattr(cli_module, "run_analyze", nan_report)
+        data = tmp_path / "d.csv"
+        data.write_text("treatment_id,session_id,round,state\nt,s,1,0\nt,s,2,1\n")
+        out = tmp_path / "r.json"
+        code, _, err = run_cli(
+            capsys, "analyze", "--input", str(data), "--output", str(out),
+        )
+        assert code == 1
+        assert "not valid JSON" in err
+        assert not out.exists()
 
     def test_progress_on_stderr_summary_on_stdout(self, capsys, tmp_path):
         data = simulate(capsys, tmp_path, "d.csv", "--model", "vnm",

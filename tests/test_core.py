@@ -18,6 +18,7 @@ from chainflux import (
     stationarity_diagnostic,
     triangle_3,
 )
+from chainflux.core import is_square_2x2
 from chainflux.errors import (
     AllSessionsTooShortError,
     EmptyDataError,
@@ -146,6 +147,16 @@ class TestDomainTypes:
         assert space.dim == 2
         expect = [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
         assert space.coordinates.tolist() == expect
+
+    def test_square_predicate(self):
+        assert is_square_2x2(square_2x2())
+        relabelled = StateSpace(("a", "b", "c", "d"), square_2x2().coordinates)
+        assert is_square_2x2(relabelled)
+        assert not is_square_2x2(triangle_3())
+        reordered = StateSpace(("a", "b", "c", "d"), square_2x2().coordinates[::-1])
+        assert not is_square_2x2(reordered)
+        line = StateSpace(("a", "b", "c", "d"), np.arange(4.0))
+        assert not is_square_2x2(line)
 
     def test_triangle_space(self):
         space = triangle_3()

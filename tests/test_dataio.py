@@ -173,6 +173,15 @@ class TestLoadCsv:
         t2 = datasets[0]
         assert [t.session_id for t in t2.sessions] == ["s1", "s2"]
 
+    def test_utf8_byte_order_mark_accepted(self, tmp_path, square_space):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(
+            b"\xef\xbb\xbftreatment_id,session_id,round,state\nt1,s1,1,2\nt1,s1,2,3\n"
+        )
+        datasets = load_csv(path, square_space)
+        assert datasets[0].treatment_id == "t1"
+        assert datasets[0].sessions[0].states.tolist() == [2, 3]
+
 
 class TestWriteCsvRoundTrip:
     def test_state_encoding_identity(self, tmp_path, square_space):
@@ -296,6 +305,34 @@ class TestWriteReport:
     def test_unwritable_path_raises(self, tmp_path):
         with pytest.raises(ReportIoError):
             write_report([], {}, {}, tmp_path / "no-dir" / "r.json")
+
+    def test_unwritable_path_error_names_target(self, tmp_path):
+        target = tmp_path / "no-dir" / "r.json"
+        with pytest.raises(ReportIoError) as exc:
+            write_report([], {}, {}, target)
+        assert str(exc.value).startswith(f"cannot write report to {target}: ")
+        assert ".tmp" not in str(exc.value)
+
+    def test_nan_raises_and_writes_nothing(self, tmp_path):
+        out = tmp_path / "r.json"
+        with pytest.raises(ReportIoError, match="not valid JSON"):
+            write_report([{"epr": float("nan")}], {}, {}, out, reproducible=True)
+        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_previous_report(self, tmp_path):
+        out = tmp_path / "r.json"
+        write_report([{"epr": 0.5}], {}, {}, out, reproducible=True)
+        before = out.read_bytes()
+        with pytest.raises(ReportIoError):
+            write_report([{"epr": float("inf")}], {}, {}, out, reproducible=True)
+        assert out.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_unwritable_csv_path_raises(self, tmp_path):
+        data = make_dataset([[0, 1, 2]])
+        with pytest.raises(ReportIoError, match="cannot write"):
+            write_csv([data], tmp_path / "no-dir" / "x.csv")
 
 
 class TestAnalysisConfig:

@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
+import chainflux.nullmodels as nullmodels
 from chainflux import (
     MarkovEstimate,
     Seed,
+    StateSpace,
+    Trajectory,
     TreatmentDataset,
     VnmParams,
     ZeroFluxPolicy,
     dos_baseline,
+    entropy,
     epr,
     estimate_markov,
     simulate_chain,
@@ -20,11 +27,46 @@ from chainflux import (
     triangle_3,
     vnm_null_distribution,
 )
-from chainflux.errors import InvalidDistributionError
+from chainflux.errors import InvalidDistributionError, OneSidedZeroFluxError
 
 from conftest import RING_TRANSITION
 
 SKIP = ZeroFluxPolicy.skip()
+SMOOTH = ZeroFluxPolicy.smooth(1e-6)
+STRICT = ZeroFluxPolicy.strict()
+
+
+def loop_dos_baseline(dos, n_rounds, reps, policy, seed):
+    """Reference i.i.d.-DOS null, one replicate at a time: draw replicate k's
+    sequence from seed.split(k), estimate its chain, take the EPR."""
+    dos = np.asarray(dos, dtype=float)
+    r = dos.size
+    space = StateSpace(tuple(str(i) for i in range(r)), np.arange(r, dtype=float))
+    cum = np.cumsum(dos)
+    samples = []
+    for k in range(reps):
+        u = seed.split(k).generator().random(n_rounds)
+        states = np.minimum(np.searchsorted(cum, u, side="right"), r - 1)
+        data = TreatmentDataset("baseline", space, (Trajectory("s1", states),))
+        samples.append(epr(estimate_markov(data), policy)[0])
+    return np.array(samples)
+
+
+def loop_vnm_null(params, reps, policy, seed):
+    """Reference independent-play null, one replicate at a time: each session
+    draws its row actions, then its column actions, from seed.split(k)."""
+    ent, pro = [], []
+    for k in range(reps):
+        rng = seed.split(k).generator()
+        sessions = []
+        for s in range(params.sessions):
+            rows = rng.random(params.rounds_per_session) < params.p
+            cols = rng.random(params.rounds_per_session) < params.q
+            sessions.append(Trajectory(f"s{s + 1}", 2 * rows.astype(int) + cols))
+        est = estimate_markov(TreatmentDataset("vnm", square_2x2(), tuple(sessions)))
+        ent.append(entropy(est))
+        pro.append(epr(est, policy)[0])
+    return np.array(ent), np.array(pro)
 
 
 class TestSeed:
@@ -259,3 +301,145 @@ class TestDosBaseline:
         assert baseline.constraint_summary["n_rounds"] == 64
         assert baseline.constraint_summary["dos"] == [0.5, 0.5, 0.0, 0.0]
         assert baseline.seed == 9
+
+
+class TestBlockKernelMatchesLoop:
+    @pytest.mark.parametrize("policy", [SKIP, SMOOTH], ids=["skip", "smooth"])
+    @pytest.mark.parametrize(
+        "dos, n_rounds, reps",
+        [
+            ([0.5, 0.5], 2, 30),
+            ([0.0, 0.4, 0.6], 7, 30),
+            ([0.2, 0.3, 0.5], 300, 30),
+            ([0.5, 0.5, 0.0, 0.0], 50, 30),
+            # 170 replicates per block at 192 records: three blocks
+            ([0.1, 0.2, 0.3, 0.4], 192, 400),
+        ],
+    )
+    def test_dos_baseline_bit_identical(self, dos, n_rounds, reps, policy):
+        batched = dos_baseline(dos, n_rounds, reps, policy, Seed(606))
+        reference = loop_dos_baseline(dos, n_rounds, reps, policy, Seed(606))
+        assert np.array_equal(batched.samples, reference)
+
+    @pytest.mark.parametrize("policy", [SKIP, SMOOTH], ids=["skip", "smooth"])
+    @pytest.mark.parametrize(
+        "p, q, sessions, rounds, reps",
+        [
+            # 85 replicates per block at 16x12: three blocks
+            (0.5, 0.5, 16, 12, 200),
+            (0.3, 0.8, 1, 150, 30),
+            (0.6, 0.4, 3, 2, 30),
+            (1.0, 0.0, 2, 5, 10),
+        ],
+    )
+    def test_vnm_null_bit_identical(self, p, q, sessions, rounds, reps, policy):
+        params = VnmParams(p=p, q=q, sessions=sessions, rounds_per_session=rounds)
+        ent, pro = vnm_null_distribution(params, reps, policy, Seed(607))
+        ref_ent, ref_pro = loop_vnm_null(params, reps, policy, Seed(607))
+        assert np.array_equal(ent.samples, ref_ent)
+        assert np.array_equal(pro.samples, ref_pro)
+
+    def test_strict_names_first_failing_replicate_and_pair(self):
+        with pytest.raises(OneSidedZeroFluxError) as batched:
+            dos_baseline([0.25] * 4, 60, 400, STRICT, Seed(2024))
+        with pytest.raises(OneSidedZeroFluxError) as reference:
+            loop_dos_baseline([0.25] * 4, 60, 400, STRICT, Seed(2024))
+        assert batched.value.pair == reference.value.pair
+        assert str(batched.value) == str(reference.value)
+
+    def test_strict_vnm_matches_loop(self):
+        params = VnmParams(p=0.5, q=0.5, sessions=2, rounds_per_session=12)
+        with pytest.raises(OneSidedZeroFluxError) as batched:
+            vnm_null_distribution(params, 50, STRICT, Seed(5))
+        with pytest.raises(OneSidedZeroFluxError) as reference:
+            loop_vnm_null(params, 50, STRICT, Seed(5))
+        assert str(batched.value) == str(reference.value)
+
+    def test_golden_samples(self):
+        # captured from the per-replicate implementation
+        dos = dos_baseline([0.1, 0.2, 0.3, 0.4], 192, 4, SKIP, Seed(2024))
+        assert dos.samples.tolist() == [
+            0.012916509576862299,
+            0.02298895353952771,
+            0.03290101543917385,
+            9.417126564601104e-05,
+        ]
+        smoothed = dos_baseline([0.0, 0.4, 0.6], 7, 4, SMOOTH, Seed(2024))
+        assert smoothed.samples.tolist() == [
+            1.5434546097467383,
+            0.05272432091836322,
+            1.5434546097467383,
+            0.03514954727890881,
+        ]
+        params = VnmParams(p=0.4, q=0.6, sessions=3, rounds_per_session=12)
+        ent, pro = vnm_null_distribution(params, 4, SKIP, Seed(2024))
+        assert ent.samples.tolist() == [
+            0.9490822953528213,
+            0.9231744383358151,
+            0.9849575079984074,
+            0.9574761930892347,
+        ]
+        assert pro.samples.tolist() == [
+            0.05493709658955341,
+            0.09495988814832632,
+            0.28647366334770225,
+            0.07748945119068339,
+        ]
+        with pytest.raises(OneSidedZeroFluxError, match=r"\(1, 2\).*forward=0\.01666"):
+            dos_baseline([0.25] * 4, 60, 50, STRICT, Seed(2024))
+
+
+class _RecordingPool:
+    """In-process stand-in for ProcessPoolExecutor; records max_workers and
+    starts no process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class TestPoolSize:
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        monkeypatch.setattr(nullmodels, "ProcessPoolExecutor", _RecordingPool)
+        return _RecordingPool
+
+    def test_capped_at_usable_cpus(self, pool, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        capped = dos_baseline([0.25] * 4, 50, 40, SKIP, Seed(3), workers=10**6)
+        assert pool.sizes == [3]
+        serial = dos_baseline([0.25] * 4, 50, 40, SKIP, Seed(3))
+        assert np.array_equal(capped.samples, serial.samples)
+
+    def test_capped_at_chunk_count(self, pool, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
+        params = VnmParams(p=0.5, q=0.5, sessions=1, rounds_per_session=10)
+        vnm_null_distribution(params, 2, SKIP, Seed(3), workers=6)
+        assert pool.sizes == [2]
+
+    def test_cpu_count_fallback(self, pool, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        dos_baseline([0.25] * 4, 50, 40, SKIP, Seed(3), workers=64)
+        assert pool.sizes == [2]
+
+    def test_single_cpu_runs_in_process(self, pool, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        dos_baseline([0.25] * 4, 50, 40, SKIP, Seed(3), workers=4)
+        assert pool.sizes == []

@@ -27,6 +27,7 @@ from chainflux import (
     velocity,
 )
 from chainflux.errors import OneSidedZeroFluxError
+from chainflux.observables import entropy_batch
 
 from conftest import (
     RING_EPR,
@@ -82,6 +83,20 @@ class TestEntropy:
         other = np.full((4, 4), 0.25)
         b = MarkovEstimate.from_exact(square_2x2(), dos, other)
         assert entropy(a) == entropy(b)
+
+    def test_batch_rows_match_sum_over_visited_states(self):
+        # rows of 8+ states with unvisited ones: the sum must run over the
+        # visited states alone, as -(nz * log nz).sum() does, to the last bit
+        rng = np.random.default_rng(12)
+        occupancy = rng.integers(1, 40, size=(300, 12))
+        occupancy[rng.random((300, 12)) < 0.4] = 0
+        occupancy[:, 0] += 1
+        dos = occupancy / occupancy.sum(axis=1, keepdims=True)
+        expect = []
+        for row in dos:
+            nz = row[row > 0.0]
+            expect.append(-(nz * np.log(nz)).sum() / math.log(12))
+        assert entropy_batch(dos).tolist() == expect
 
     @given(st.lists(st.integers(0, 3), min_size=2, max_size=100))
     @settings(max_examples=50, deadline=None)
