@@ -27,6 +27,7 @@ from .core import (
 from .dataio import (
     AnalysisConfig,
     baseline_summary_dict,
+    check_report_path,
     load_csv,
     load_space,
     observable_report_dict,
@@ -100,6 +101,7 @@ def _make_config(
 
 
 def _load_treatments(config: AnalysisConfig) -> list[TreatmentDataset]:
+    check_report_path(config.output)
     datasets = load_csv(config.input, config.space)
     _progress(f"loaded {len(datasets)} treatment(s) from {config.input}")
     return datasets
@@ -581,9 +583,9 @@ def _simulate_cmd(
             drive_sweep=sweep,
             dos=dos_vec,
         )
+        write_csv(datasets, output_path, encoding=encoding)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    write_csv(datasets, output_path, encoding=encoding)
     rows = sum(d.n_rounds for d in datasets)
     _progress(f"wrote {rows} rows for {len(datasets)} treatment(s) to {output_path}")
     _finish(

@@ -12,6 +12,18 @@ observations). A session_id change starts a new session. Action pairs map
 to state = 2*row_action + col_action. The two encodings are never mixed
 within one file.
 
+Cells follow csv's default dialect and int(cell.strip()); invalid UTF-8 is
+a ParseError naming its line, and every error names the first offending
+line. load_csv reads the body in _BLOCK_BYTES blocks cut at line ends and
+parses each quote-free block with numpy: line ends and commas by
+flatnonzero, column counts by searchsorted, digit cells as arrays (other
+cells through int() one at a time), and the row checks as array predicates
+over runs of rows sharing a (treatment, session) prefix, with one dict
+lookup per run. From the first block with a quote on, csv.reader splits
+the rest, and whole columns of its rows are converted at once. Memory is
+bounded by one block's index arrays plus one small integer per row of
+states; no whole-file per-row array exists.
+
 Reports are a single strict JSON document (no NaN or Infinity); floats
 serialize via repr (17 significant digits), so write-then-parse round-trips
 bit-for-bit. A report is written to a temporary file beside the target and
@@ -22,14 +34,27 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
+import itertools
 import json
+import operator
 import os
+import re
+from collections.abc import Callable
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import StateSpace, Trajectory, TreatmentDataset, square_2x2, triangle_3
+from .core import (
+    StateSpace,
+    Trajectory,
+    TreatmentDataset,
+    is_square_2x2,
+    square_2x2,
+    triangle_3,
+)
 from .errors import (
     ConfigError,
     MixedEncodingsError,
@@ -47,6 +72,7 @@ __all__ = [
     "load_space",
     "load_csv",
     "write_csv",
+    "check_report_path",
     "write_report",
     "observable_report_dict",
     "test_result_dict",
@@ -58,6 +84,24 @@ _STATE_HEADER = ["treatment_id", "session_id", "round", "state"]
 _ACTION_HEADER = ["treatment_id", "session_id", "round", "row_action", "col_action"]
 
 _BUILTIN_SPACES = {"square": square_2x2, "triangle": triangle_3}
+
+# Bytes read per ingest block; a block is cut at its last line end. Its index
+# arrays take about 200 bytes per row, so 64 KiB keeps them under 1 MB;
+# larger blocks were no faster on 10^6 rows.
+_BLOCK_BYTES = 1 << 16
+# Rows per validation batch once a quote sends the rest of a file through csv.
+_QUOTED_BATCH_ROWS = 4096
+_BOM = b"\xef\xbb\xbf"
+_LINE_END = re.compile(rb"\r\n|\r|\n")
+# Longest digit string that always fits in int64; longer cells go via int().
+_MAX_DIGITS = 18
+_INT64 = np.iinfo(np.int64)
+# Bytes that make a row non-blank: ASCII other than commas and whitespace. A
+# row that does not start with one is checked with str.strip(), as csv is.
+_TEXT_BYTE = np.array(
+    [c < 128 and c != ord(",") and not chr(c).isspace() for c in range(256)]
+)
+
 
 
 @dataclasses.dataclass(frozen=True)
@@ -126,33 +170,29 @@ def load_space(descriptor: str) -> StateSpace:
         raise ConfigError(f"bad state-space descriptor {descriptor!r}: {exc}") from exc
 
 
-def _parse_int(text: str, what: str, line: int) -> int:
-    try:
-        return int(text.strip())
-    except ValueError:
-        raise ParseError(f"{what} {text!r} is not an integer", line) from None
-
-
 def load_csv(path, space: StateSpace) -> list[TreatmentDataset]:
     """Parse a record file into one dataset per treatment, in file order.
 
     Raises:
-        ParseError: missing/unknown header, empty file, malformed cells.
+        ParseError: missing/unknown header, empty file, malformed cells,
+            invalid UTF-8, a quoted cell over csv.field_size_limit().
         MixedEncodingsError: header carries both encodings.
         NonMonotoneRoundsError: rounds within a session do not increase.
         StateOutOfRangeError: a state index is outside [0, r).
     """
     path = Path(path)
     try:
-        fh = path.open(newline="", encoding="utf-8-sig")
+        fh = path.open("rb")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip().lower() for h in next(reader)]
-        except StopIteration:
-            raise ParseError(f"{path.name}: empty file", line=1) from None
+        lines = _Lines(_blocks(fh, fh.read(len(_BOM)).removeprefix(_BOM)), 0)
+        header = next(lines.rows(), None)
+        if lines.error:
+            raise lines.error
+        if header is None:
+            raise ParseError(f"{path.name}: empty file", line=1)
+        header = [h.strip().lower() for h in header]
 
         has_state = "state" in header
         has_actions = "row_action" in header or "col_action" in header
@@ -160,11 +200,7 @@ def load_csv(path, space: StateSpace) -> list[TreatmentDataset]:
             raise MixedEncodingsError(
                 f"{path.name}: header mixes 'state' with action columns", line=1
             )
-        if header == _STATE_HEADER:
-            action_encoding = False
-        elif header == _ACTION_HEADER:
-            action_encoding = True
-        else:
+        if header not in (_STATE_HEADER, _ACTION_HEADER):
             raise ParseError(
                 f"{path.name}: header must be exactly "
                 f"{','.join(_STATE_HEADER)} or {','.join(_ACTION_HEADER)}; "
@@ -172,69 +208,439 @@ def load_csv(path, space: StateSpace) -> list[TreatmentDataset]:
                 line=1,
             )
 
-        r = space.size
-        n_cols = len(header)
-        # treatment -> session -> list of states; insertion order preserved
-        treatments: dict[str, dict[str, list[int]]] = {}
-        last_round: dict[tuple[str, str], int] = {}
-        for row in reader:
-            line = reader.line_num
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != n_cols:
-                raise ParseError(
-                    f"expected {n_cols} columns, got {len(row)}", line
-                )
-            tid, sid = row[0].strip(), row[1].strip()
-            rnd = _parse_int(row[2], "round", line)
-            if rnd < 1:
-                raise ParseError(f"round must be >= 1, got {rnd}", line)
-            key = (tid, sid)
-            if key in last_round and rnd <= last_round[key]:
-                raise NonMonotoneRoundsError(
-                    f"round {rnd} does not increase within session {sid!r} "
-                    f"of treatment {tid!r}",
-                    line,
-                )
-            last_round[key] = rnd
-            if action_encoding:
-                row_a = _parse_int(row[3], "row_action", line)
-                col_a = _parse_int(row[4], "col_action", line)
-                if row_a not in (0, 1) or col_a not in (0, 1):
-                    raise ParseError(
-                        f"actions must be 0 or 1, got ({row_a}, {col_a})", line
-                    )
-                state = 2 * row_a + col_a
-            else:
-                state = _parse_int(row[3], "state", line)
-            if not (0 <= state < r):
-                raise StateOutOfRangeError(
-                    f"state {state} outside [0, {r})", line
-                )
-            treatments.setdefault(tid, {}).setdefault(sid, []).append(state)
+        records = _Records(space.size, action_encoding=header == _ACTION_HEADER)
+        body = lines.rest()
+        line = lines.line + 1
+        for block in body:
+            if b'"' in block:
+                records.add_quoted(itertools.chain([block], body), line)
+                break
+            line = records.add_block(block, line)
 
-    return [
-        TreatmentDataset(
-            treatment_id=tid,
-            space=space,
-            sessions=tuple(
-                Trajectory(session_id=sid, states=np.asarray(states, dtype=np.int64))
-                for sid, states in sessions.items()
-            ),
+    return records.datasets(space)
+
+
+def _blocks(fh, carry: bytes):
+    """Yield the rest of fh in blocks of about _BLOCK_BYTES, each ending at a
+    line end (the last ends with the file). A \\r that ends a read is kept for
+    the next block, so a \\r\\n pair is never split."""
+    while chunk := fh.read(_BLOCK_BYTES):
+        data = carry + chunk if carry else chunk
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
+        if cut:
+            yield data[:cut]
+        carry = data[cut:]
+    if carry:
+        yield carry
+
+
+def _utf8_lines(block: bytes) -> tuple[bytes, UnicodeDecodeError | None]:
+    """The block and None, or, when it holds invalid UTF-8, the lines before
+    the one with the first bad byte and the decode error."""
+    if not block.isascii():
+        try:
+            block.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            at = exc.start
+            cut = max(block.rfind(b"\n", 0, at), block.rfind(b"\r", 0, at)) + 1
+            return block[:cut], exc
+    return block, None
+
+
+def _texts(blocks, line: int, failed: list):
+    """Line iterators over the decoded blocks, whose first line is `line`.
+    Invalid UTF-8 ends them after the lines before it, with its ParseError
+    appended to `failed`."""
+    for block in blocks:
+        block, bad = _utf8_lines(block)
+        yield io.StringIO(block.decode("utf-8"), newline="")
+        # lines in the block; it ends at a line end unless it is the last
+        line += block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
+        if bad:
+            failed.append(_utf8_error(bad, line))
+            return
+
+
+def _utf8_error(exc: UnicodeDecodeError, line: int) -> ParseError:
+    return ParseError(
+        f"invalid UTF-8 byte 0x{exc.object[exc.start]:02x} ({exc.reason})", line
+    )
+
+
+class _Lines:
+    """Iterator over the physical lines of a block stream, decoded one at a
+    time and split where csv splits them (\\r\\n, \\r or \\n), so that the
+    header can be read with csv and the body taken from the byte after it.
+
+    Invalid UTF-8, or a row csv rejects (a field over csv.field_size_limit),
+    ends the stream and is kept in `error`; `line` counts the lines handed
+    out.
+    """
+
+    def __init__(self, blocks, line: int):
+        self.blocks = iter(blocks)
+        self.buf = b""
+        self.pos = 0
+        self.line = line
+        self.error: ParseError | None = None
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> str:
+        if self.pos == len(self.buf):
+            self.buf, self.pos = next(self.blocks), 0
+        end = _LINE_END.search(self.buf, self.pos)
+        end = end.end() if end else len(self.buf)
+        raw, self.pos = self.buf[self.pos : end], end
+        self.line += 1
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            self.error = _utf8_error(exc, self.line)
+            self.blocks, self.pos = iter(()), len(self.buf)
+            raise StopIteration from None
+
+    def rows(self):
+        """The csv rows of the remaining lines."""
+        try:
+            yield from csv.reader(self)
+        except csv.Error as exc:
+            self.error = ParseError(str(exc), self.line)
+
+    def rest(self):
+        """The blocks after the last line handed out."""
+        if self.pos < len(self.buf):
+            return itertools.chain([self.buf[self.pos :]], self.blocks)
+        return self.blocks
+
+
+def _is_blank(text: str) -> bool:
+    return all(not cell.strip() for cell in text.split(","))
+
+
+def _ints(texts) -> tuple[np.ndarray, np.ndarray]:
+    """(values, parsed) of int(text.strip()) for each cell."""
+    texts = list(texts)
+    try:  # int() ignores the whitespace that strip() removes
+        return _int_array(list(map(int, texts))), np.ones(len(texts), dtype=bool)
+    except ValueError:
+        pass
+    values = []
+    for text in texts:
+        try:
+            values.append(int(text.strip()))
+        except ValueError:
+            values.append(None)
+    parsed = np.array([v is not None for v in values], dtype=bool)
+    return _int_array([0 if v is None else v for v in values]), parsed
+
+
+def _int_array(values: list[int]) -> np.ndarray:
+    """values as int64, or as Python ints (dtype object) when one lies
+    outside int64, so that they still compare exactly."""
+    wide = bool(values) and (min(values) < _INT64.min or max(values) > _INT64.max)
+    return np.array(values, dtype=object if wide else np.int64)
+
+
+def _line_bounds(block: bytes, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and stop (before the line end) of each line of a block, split
+    where csv splits lines: at \\n, \\r\\n and a lone \\r."""
+    ends = np.flatnonzero(a == 10)
+    stops = ends
+    if b"\r" in block:
+        cr = np.flatnonzero(a == 13)
+        lone = cr[(cr + 1 == a.size) | (a[np.minimum(cr + 1, a.size - 1)] != 10)]
+        if lone.size:
+            mark = a == 10
+            mark[lone] = True
+            ends = np.flatnonzero(mark)
+        stops = ends - ((a[ends] == 10) & (a[ends - 1] == 13) & (ends > 0))
+    starts = np.concatenate(([0], ends + 1))
+    stops = np.concatenate((stops, [a.size]))
+    if starts[-1] == a.size:  # the block ends with a line end
+        return starts[:-1], stops[:-1]
+    return starts, stops
+
+
+def _cell_bounds(a, starts, stops, n_cols: int) -> tuple[int, list[np.ndarray]]:
+    """The number m of rows before the first whose comma count is not
+    n_cols - 1, and their cell bounds: cell j of row i is bytes
+    bounds[j][i] + 1 up to bounds[j + 1][i]."""
+    commas = np.flatnonzero(a == ord(","))
+    first = np.searchsorted(commas, starts)
+    wrong = np.flatnonzero(np.searchsorted(commas, stops) - first != n_cols - 1)
+    m = int(wrong[0]) if wrong.size else starts.size
+    cuts = [commas[first[:m] + j] for j in range(n_cols - 1)]
+    return m, [starts[:m] - 1, *cuts, stops[:m]]
+
+
+def _run_starts(block: bytes, a, starts, width) -> np.ndarray:
+    """Rows whose first `width` bytes differ from the row before's: equal
+    widths, then the bytes compared 8 at a time as words."""
+    words = np.ndarray(a.size, "<u8", block + bytes(8), strides=(1,))
+    same = np.zeros(starts.size, dtype=bool)
+    cand = np.flatnonzero(width[1:] == width[:-1]) + 1
+    for at in itertools.count(0, 8):
+        if not cand.size:
+            break
+        left = width[cand] - at
+        diff = words[starts[cand] + at] ^ words[starts[cand - 1] + at]
+        # keep the low min(left, 8) bytes: the rest lie past the prefix
+        diff <<= (8 * (8 - np.minimum(left, 8))).astype(np.uint64)
+        last = left <= 8
+        same[cand[(diff == 0) & last]] = True
+        cand = cand[(diff == 0) & ~last]
+    return np.flatnonzero(~same)
+
+
+def _int_cells(block: bytes, a, begin, end) -> tuple[np.ndarray, np.ndarray]:
+    """(values, parsed) of the cells block[begin:end]: plain ASCII digit
+    strings are read with numpy, any other cell with _ints."""
+    n = end - begin
+    plain = (n > 0) & (n <= _MAX_DIGITS)
+    values = np.zeros(n.size, dtype=np.int64)
+    for j in range(int(n.max(initial=0, where=plain))):
+        d = a[np.minimum(begin + j, a.size - 1)] - np.uint8(ord("0"))
+        inside = n > j
+        plain &= ~inside | (d <= 9)
+        values = np.where(inside, values * 10 + d, values)
+    odd = np.flatnonzero(~plain)
+    if odd.size:
+        more, parsed = _ints(block[begin[i] : end[i]].decode("utf-8") for i in odd)
+        values = values.astype(more.dtype, copy=False)
+        values[odd], plain[odd] = more, parsed
+    return values, plain
+
+
+class _Rows(NamedTuple):
+    """Non-blank rows of one block or batch, cut after the first row with a
+    wrong column count (whose error wins over any later row's)."""
+
+    lines: np.ndarray  # line number of each row
+    numbers: list  # (values, parsed) of each column from `round` on
+    run_starts: np.ndarray  # rows whose two id cells differ from the row before
+    keys: list  # stripped (treatment, session) of each run
+    cells: Callable  # row index -> the row's cells as text
+
+
+class _Records:
+    """Validated rows, kept per session as the bytes of small-int states."""
+
+    def __init__(self, r: int, action_encoding: bool):
+        self.r = r
+        self.action_encoding = action_encoding
+        self.n_cols = len(_ACTION_HEADER if action_encoding else _STATE_HEADER)
+        # the smallest signed type that holds every state in [0, r)
+        self.dtype = np.min_scalar_type(-r)
+        # (treatment, session) -> [last round, states as self.dtype bytes],
+        # in the order of each session's first row
+        self.sessions: dict[tuple[str, str], list] = {}
+        # raw 'treatment,session' bytes of a row -> its session key
+        self.keys: dict[bytes, tuple[str, str]] = {}
+
+    def _key(self, prefix: bytes) -> tuple[str, str]:
+        """(treatment, session) of the raw bytes 'treatment,session'."""
+        tid, sid = prefix.decode("utf-8").split(",")
+        key = self.keys[prefix] = (tid.strip(), sid.strip())
+        return key
+
+    def add_block(self, block: bytes, line: int) -> int:
+        """Add a quote-free block whose first line is `line`; return the
+        number of the line after it."""
+        block, bad = _utf8_lines(block)
+        if block:
+            rows, n_lines = self._scan(block, line)
+            self._take(rows)
+            line += n_lines
+        if bad:
+            raise _utf8_error(bad, line)
+        return line
+
+    def add_quoted(self, blocks, line: int) -> None:
+        """Add every row of `blocks`, whose first line is `line`, read by csv
+        (quotes may hide commas and line ends)."""
+        failed: list[ParseError] = []
+        reader = csv.reader(itertools.chain.from_iterable(_texts(blocks, line, failed)))
+        line -= 1
+        while True:
+            batch, lines = [], []
+            try:
+                for cells in reader:
+                    if failed:  # a row cut short by invalid UTF-8
+                        break
+                    batch.append(cells)
+                    lines.append(line + reader.line_num)
+                    if len(batch) == _QUOTED_BATCH_ROWS:
+                        break
+            except csv.Error as exc:  # a field over csv.field_size_limit()
+                failed.append(ParseError(str(exc), line + reader.line_num))
+            self._take(self._csv_rows(batch, lines))
+            if failed or len(batch) < _QUOTED_BATCH_ROWS:
+                break
+        if failed:
+            raise failed[0]
+
+    def _scan(self, block: bytes, line: int) -> tuple[_Rows, int]:
+        """Split a quote-free block into rows and cells with numpy."""
+        a = np.frombuffer(block, dtype=np.uint8)
+        starts, stops = _line_bounds(block, a)
+        n_lines = starts.size
+        keep = _TEXT_BYTE[a[starts]]
+        for i in np.flatnonzero(~keep):
+            keep[i] = not _is_blank(block[starts[i] : stops[i]].decode("utf-8"))
+        rows = np.flatnonzero(keep)
+        starts, stops = starts[rows], stops[rows]
+
+        def cells(i):
+            return block[starts[i] : stops[i]].decode("utf-8").split(",")
+
+        m, bounds = _cell_bounds(a, starts, stops, self.n_cols)
+        run_starts = _run_starts(block, a, starts[:m], bounds[2] - bounds[0] - 1)
+        # each run's 'treatment,session' bytes, decoded once per distinct value
+        lo, hi = (bounds[0][run_starts] + 1).tolist(), bounds[2][run_starts].tolist()
+        prefixes = [block[i:j] for i, j in zip(lo, hi)]
+        keys = [self.keys.get(p) or self._key(p) for p in prefixes]
+        numbers = [
+            _int_cells(block, a, bounds[j] + 1, bounds[j + 1])
+            for j in range(2, self.n_cols)
+        ]
+        return _Rows(line + rows[: m + 1], numbers, run_starts, keys, cells), n_lines
+
+    def _csv_rows(self, batch: list[list[str]], lines: list[int]) -> _Rows:
+        """The rows csv read, with C-level maps and zips over whole columns."""
+        keep = list(map(str.strip, map("".join, batch)))  # '' for a blank row
+        if not all(keep):
+            batch = list(itertools.compress(batch, keep))
+            lines = list(itertools.compress(lines, keep))
+        wrong = np.flatnonzero(np.array(list(map(len, batch))) != self.n_cols)
+        m = int(wrong[0]) if wrong.size else len(batch)
+        columns = list(zip(*batch[:m])) if m else [()] * self.n_cols
+        ids = list(zip(columns[0], columns[1]))
+        run_starts = np.flatnonzero([True, *map(operator.ne, ids[1:], ids)][:m])
+        return _Rows(
+            np.array(lines[: m + 1], dtype=np.int64),
+            [_ints(columns[j]) for j in range(2, self.n_cols)],
+            run_starts,
+            [(ids[i][0].strip(), ids[i][1].strip()) for i in run_starts],
+            batch.__getitem__,
         )
-        for tid, sessions in treatments.items()
-    ]
+
+    def _take(self, rows: _Rows) -> None:
+        """Check rows with array predicates and add them to their sessions;
+        at the first failing row, raise that row's error."""
+        (rnd, ok), *rest = rows.numbers
+        if self.action_encoding:
+            (row_a, row_ok), (col_a, col_ok) = rest
+            ok = ok & row_ok & col_ok & (row_a >= 0) & (row_a <= 1)
+            ok &= (col_a >= 0) & (col_a <= 1)
+            state = 2 * row_a + col_a
+        else:
+            [(state, state_ok)] = rest
+            ok = ok & state_ok & (state >= 0) & (state < self.r)
+        ok &= rnd >= 1
+
+        # one dict lookup per run gives its session; sorting the runs stably
+        # by session lists every session's rows together, in file order
+        local = {key: i for i, key in enumerate(dict.fromkeys(rows.keys))}
+        run_session = list(map(local.__getitem__, rows.keys))
+        sessions = [self.sessions.setdefault(key, [0, bytearray()]) for key in local]
+        runs = sorted(range(len(run_session)), key=run_session.__getitem__)
+        bounds = np.append(rows.run_starts, rnd.size)
+        starts, lengths = bounds[runs], np.diff(bounds)[runs]
+        order = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+        order += np.arange(rnd.size)
+        group = np.repeat(np.array(run_session, dtype=np.intp)[runs], lengths)
+
+        # rounds increase within a session, from its last round so far on
+        last = _int_array([session[0] for session in sessions])
+        if last.dtype != rnd.dtype:
+            rnd, last = rnd.astype(object), last.astype(object)
+        rnd = rnd[order]
+        first = np.ones(rnd.size, dtype=bool)
+        first[1:] = group[1:] != group[:-1]
+        before = np.empty_like(rnd)
+        before[1:] = rnd[:-1]
+        before[first] = last[group[first]]
+        ok[order[rnd <= before]] = False
+        failing = np.flatnonzero(~ok)
+        stop = int(failing[0]) if failing.size else ok.size
+
+        # rows before `stop` are a prefix of each session's group
+        valid = order < stop
+        order, group, rnd = order[valid], group[valid], rnd[valid]
+        states = state[order].astype(self.dtype)
+        heads = np.flatnonzero(first[valid])
+        for lo, hi in zip(heads.tolist(), np.append(heads[1:], order.size).tolist()):
+            session = sessions[group[lo]]
+            session[0] = int(rnd[hi - 1])
+            session[1] += states[lo:hi].tobytes()
+        if stop < rows.lines.size:
+            self._raise_row_error(rows.cells(stop), int(rows.lines[stop]))
+
+    def _raise_row_error(self, cells: list[str], line: int) -> None:
+        """Raise the error of a row that fails a check, testing its cells in
+        the order a row is read."""
+
+        def number(j: int, what: str) -> int:
+            try:
+                return int(cells[j].strip())
+            except ValueError:
+                raise ParseError(
+                    f"{what} {cells[j]!r} is not an integer", line
+                ) from None
+
+        if len(cells) != self.n_cols:
+            raise ParseError(f"expected {self.n_cols} columns, got {len(cells)}", line)
+        tid, sid = cells[0].strip(), cells[1].strip()
+        rnd = number(2, "round")
+        if rnd < 1:
+            raise ParseError(f"round must be >= 1, got {rnd}", line)
+        if rnd <= self.sessions.get((tid, sid), [0])[0]:
+            raise NonMonotoneRoundsError(
+                f"round {rnd} does not increase within session {sid!r} "
+                f"of treatment {tid!r}",
+                line,
+            )
+        if self.action_encoding:
+            row_a, col_a = number(3, "row_action"), number(4, "col_action")
+            if row_a not in (0, 1) or col_a not in (0, 1):
+                raise ParseError(
+                    f"actions must be 0 or 1, got ({row_a}, {col_a})", line
+                )
+            state = 2 * row_a + col_a
+        else:
+            state = number(3, "state")
+        if not (0 <= state < self.r):
+            raise StateOutOfRangeError(f"state {state} outside [0, {self.r})", line)
+        raise AssertionError(f"line {line} was flagged but passes every check")
+
+    def datasets(self, space: StateSpace) -> list[TreatmentDataset]:
+        treatments: dict[str, list[Trajectory]] = {}
+        for (tid, sid), (_, states) in self.sessions.items():
+            states = np.frombuffer(states, dtype=self.dtype).astype(np.int64)
+            treatments.setdefault(tid, []).append(Trajectory(sid, states))
+        return [
+            TreatmentDataset(treatment_id=tid, space=space, sessions=tuple(trajs))
+            for tid, trajs in treatments.items()
+        ]
 
 
 def write_csv(datasets, path, encoding: str = "state") -> None:
     """Write datasets in the load_csv contract; inverse of load_csv on
-    content. encoding='actions' requires the 4-state square convention.
+    content. encoding='actions' requires the canonical 4-state square space.
 
     Raises:
+        ValueError: bad encoding, or actions asked for off the square space;
+            raised before the file is opened.
         ReportIoError: the file cannot be created.
     """
     if encoding not in ("state", "actions"):
         raise ValueError(f"encoding must be 'state' or 'actions', got {encoding!r}")
+    datasets = list(datasets)
+    actions = encoding == "actions"
+    if actions and not all(is_square_2x2(data.space) for data in datasets):
+        raise ValueError("action encoding requires the 4-state square convention")
     path = Path(path)
     try:
         fh = path.open("w", newline="", encoding="utf-8")
@@ -242,16 +648,12 @@ def write_csv(datasets, path, encoding: str = "state") -> None:
         raise ReportIoError(f"cannot write {path}: {exc}") from exc
     with fh:
         writer = csv.writer(fh)
-        writer.writerow(_ACTION_HEADER if encoding == "actions" else _STATE_HEADER)
+        writer.writerow(_ACTION_HEADER if actions else _STATE_HEADER)
         for data in datasets:
-            if encoding == "actions" and data.space.size != 4:
-                raise ValueError(
-                    "action encoding requires the 4-state square convention"
-                )
             for traj in data.sessions:
                 for rnd, s in enumerate(traj.states, start=1):
                     s = int(s)
-                    if encoding == "actions":
+                    if actions:
                         writer.writerow(
                             [data.treatment_id, traj.session_id, rnd, s // 2, s % 2]
                         )
@@ -296,6 +698,26 @@ def _jsonable(obj):
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
     raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
+
+
+def check_report_path(path) -> None:
+    """Fail early, before any work, when write_report could not create path.
+
+    Raises:
+        ReportIoError: path is a directory, or its directory is missing or
+            not writable.
+    """
+    path = Path(path)
+    folder = path.parent
+    if path.is_dir():
+        reason = "it is a directory"
+    elif not folder.is_dir():
+        reason = f"no such directory {folder}"
+    elif not os.access(folder, os.W_OK | os.X_OK):
+        reason = f"directory {folder} is not writable"
+    else:
+        return
+    raise ReportIoError(f"cannot write report to {path}: {reason}")
 
 
 def write_report(

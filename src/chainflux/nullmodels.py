@@ -217,12 +217,28 @@ def _blocks(lo: int, hi: int, draws_per_replicate: int) -> list[tuple[int, int]]
     return [(k, min(k + size, hi)) for k in range(lo, hi, size)]
 
 
-def _uniforms(seed: Seed, lo: int, hi: int, n: int) -> np.ndarray:
-    """Row k - lo holds the first n uniforms of replicate k's stream."""
-    u = np.empty((hi - lo, n))
-    for row, k in enumerate(range(lo, hi)):
-        seed.split(k).generator().random(out=u[row])
-    return u
+def _uniforms(seed: Seed):
+    """uniforms(lo, hi, n): row k - lo holds the first n uniforms of
+    replicate k's stream, seed.split(k).generator().
+
+    One Philox serves every call: it is re-keyed per replicate through its
+    state setter, which gives the same stream without the OS-entropy draw
+    that constructing a bit generator makes. Roots are 64-bit, so Philox's
+    128-bit key is [root, 0].
+    """
+    bitgen = np.random.Philox(key=0)
+    state = bitgen.state
+    gen = np.random.Generator(bitgen)
+
+    def uniforms(lo: int, hi: int, n: int) -> np.ndarray:
+        u = np.empty((hi - lo, n))
+        for row, k in enumerate(range(lo, hi)):
+            state["state"]["key"][0] = seed.split(k).root
+            bitgen.state = state
+            gen.random(out=u[row])
+        return u
+
+    return uniforms
 
 
 def _block_chains(states: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -253,8 +269,9 @@ def _vnm_chunk(
     draws = 2 * params.sessions * params.rounds_per_session
     ent = np.empty(hi - lo)
     pro = np.empty(hi - lo)
+    uniforms = _uniforms(seed)
     for start, stop in _blocks(lo, hi, draws):
-        u = _uniforms(seed, start, stop, draws).reshape(-1, *shape)
+        u = uniforms(start, stop, draws).reshape(-1, *shape)
         states = _vnm_states(u, params.p, params.q)
         dos, flux = _block_chains(states, 4)
         ent[start - lo : stop - lo] = entropy_batch(dos)
@@ -274,8 +291,9 @@ def _dos_chunk(
     # min(searchsorted(cumsum(dos), u, 'right'), r - 1)
     cuts = np.cumsum(dos)[:-1]
     out = np.empty(hi - lo)
+    uniforms = _uniforms(seed)
     for start, stop in _blocks(lo, hi, n_rounds):
-        u = _uniforms(seed, start, stop, n_rounds)
+        u = uniforms(start, stop, n_rounds)
         states = np.zeros(u.shape, dtype=np.int64)
         for cut in cuts:
             states += u >= cut

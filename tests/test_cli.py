@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import pytest
 
 from chainflux.cli import main
 from conftest import RING_EPR
@@ -95,6 +96,17 @@ class TestSimulate:
         assert err.startswith(f"error: cannot write {out}: ")
         assert "internal error" not in err
 
+    def test_actions_off_the_square_exit_1_without_file(self, capsys, tmp_path):
+        out = tmp_path / "ring.csv"
+        code, summary, err = run_cli(
+            capsys, "simulate", "--model", "ring", "--encoding", "actions",
+            "--rounds", "10", "--output", str(out),
+        )
+        assert code == 1
+        assert summary is None
+        assert err == "error: action encoding requires the 4-state square convention\n"
+        assert not out.exists()
+
 
 class TestAnalyze:
     def test_ring_pipeline_recovers_closed_form(self, capsys, tmp_path):
@@ -126,6 +138,18 @@ class TestAnalyze:
         )
         assert code == 1
         assert "empty" in err
+
+    def test_invalid_utf8_exit_1_names_line(self, capsys, tmp_path):
+        data = tmp_path / "bad.csv"
+        data.write_bytes(
+            b"treatment_id,session_id,round,state\nt,s,1,0\nt,s\xff,2,1\n"
+        )
+        code, _, err = run_cli(
+            capsys, "analyze", "--input", str(data),
+            "--output", str(tmp_path / "r.json"),
+        )
+        assert code == 1
+        assert err == "error: invalid UTF-8 byte 0xff (invalid start byte) (line 3)\n"
 
     def test_missing_file_exit_1(self, capsys, tmp_path):
         code, _, _ = run_cli(
@@ -376,6 +400,42 @@ class TestExitCodesAndDeterminism:
         assert code == 1
         assert "alpha" in err
         assert "missing.csv" not in err
+
+    @pytest.mark.parametrize(
+        "command", ["analyze", "cycle-test", "minimax-test", "motion-fit"]
+    )
+    def test_unwritable_output_fails_before_any_work(
+        self, capsys, monkeypatch, tmp_path, command
+    ):
+        import chainflux.cli as cli_module
+
+        def never(*args, **kwargs):
+            raise RuntimeError("ran before the output was checked")
+
+        for name in ("load_csv", "dos_baseline", "vnm_null_distribution"):
+            monkeypatch.setattr(cli_module, name, never)
+        data = tmp_path / "d.csv"
+        data.write_text("treatment_id,session_id,round,state\nt,s,1,0\nt,s,2,1\n")
+        out = tmp_path / "missing" / "r.json"
+        code, summary, err = run_cli(
+            capsys, command, "--input", str(data), "--output", str(out),
+            "--reps", "3000",
+        )
+        assert code == 1
+        assert summary is None
+        assert err == (
+            f"error: cannot write report to {out}: "
+            f"no such directory {out.parent}\n"
+        )
+
+    def test_output_that_is_a_directory_exit_1(self, capsys, tmp_path):
+        data = tmp_path / "d.csv"
+        data.write_text("treatment_id,session_id,round,state\nt,s,1,0\nt,s,2,1\n")
+        code, _, err = run_cli(
+            capsys, "analyze", "--input", str(data), "--output", str(tmp_path),
+        )
+        assert code == 1
+        assert err == f"error: cannot write report to {tmp_path}: it is a directory\n"
 
     def test_bad_seed_exit_1(self, capsys, tmp_path):
         data = tmp_path / "d.csv"

@@ -96,6 +96,23 @@ class TestSeed:
         with pytest.raises(ValueError):
             Seed(5).split(-1)
 
+    def test_rekeyed_philox_matches_generator(self):
+        """_uniforms re-keys one Philox; Seed.generator() defines the stream."""
+        rng = np.random.default_rng(11)
+        roots = [0, 1, (1 << 63) - 1, 1 << 63, (1 << 64) - 1]
+        roots += rng.integers(0, 1 << 63, size=20).tolist()
+        for root in roots:
+            uniforms = nullmodels._uniforms(Seed(root))
+            for n in (1, 3, 4, 5, 192, 1001):
+                lo = int(rng.integers(0, 1000))
+                hi = lo + int(rng.integers(1, 12))
+                fast = uniforms(lo, hi, n)
+                slow = [
+                    Seed(root).split(k).generator().random(n)
+                    for k in range(lo, hi)
+                ]
+                assert np.array_equal(fast, np.array(slow))
+
 
 class TestSimulateChain:
     def test_deterministic_cycle_exact_sequence(self):
