@@ -25,6 +25,7 @@ from .nullmodels import (
     BaselineDistribution,
     Seed,
     VnmParams,
+    cycle_transition,
     dos_baseline,
     simulate_chain,
     simulate_vnm,
@@ -74,6 +75,7 @@ __all__ = [
     "Seed",
     "VnmParams",
     "BaselineDistribution",
+    "cycle_transition",
     "simulate_chain",
     "simulate_vnm",
     "vnm_null_distribution",

@@ -37,8 +37,10 @@ from .dataio import (
 )
 from .errors import ChainfluxError, ConfigError, ZeroVarianceError
 from .nullmodels import (
+    SQUARE_CYCLE_ORDER,
     Seed,
     VnmParams,
+    cycle_transition,
     dos_baseline,
     simulate_chain,
     simulate_vnm,
@@ -54,10 +56,7 @@ __all__ = [
     "run_minimax",
     "run_cycle_test",
     "run_motion_fit",
-    "cycle_transition",
 ]
-
-_MAX_SEED = (1 << 64) - 1
 
 
 def _progress(message: str) -> None:
@@ -69,6 +68,13 @@ def _parse_policy(text: str) -> ZeroFluxPolicy:
         return ZeroFluxPolicy.parse(text)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _seed(value: int) -> Seed:
+    try:
+        return Seed(value)
+    except ValueError as exc:
+        raise ConfigError("--seed must be a 64-bit unsigned integer") from exc
 
 
 def _make_config(
@@ -84,12 +90,10 @@ def _make_config(
     workers: int,
     reproducible: bool,
 ) -> AnalysisConfig:
-    if not (0 <= seed <= _MAX_SEED):
-        raise ConfigError("--seed must be a 64-bit unsigned integer")
     return AnalysisConfig(
+        seed=_seed(seed),
         space=load_space(space_text),
         policy=_parse_policy(policy_text),
-        seed=Seed(seed),
         input=input_path,
         output=output_path,
         burn_in=burn_in,
@@ -98,13 +102,6 @@ def _make_config(
         workers=workers,
         reproducible=reproducible,
     )
-
-
-def _load_treatments(config: AnalysisConfig) -> list[TreatmentDataset]:
-    check_report_path(config.output)
-    datasets = load_csv(config.input, config.space)
-    _progress(f"loaded {len(datasets)} treatment(s) from {config.input}")
-    return datasets
 
 
 def _mc_exceedance_p(samples: np.ndarray, value: float) -> float:
@@ -124,44 +121,62 @@ def _safe_test(fn, *args, **kwargs) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def run_analyze(config: AnalysisConfig) -> dict:
-    """Per-treatment chain estimate, observables, and stationarity check."""
-    entries = []
-    for data in _load_treatments(config):
-        est = estimate_markov(data, config.burn_in)
-        report = full_report(est, config.policy)
-        diag = stationarity_diagnostic(data, config.burn_in)
-        _progress(
-            f"treatment {data.treatment_id}: n={est.n_observations} "
-            f"entropy={report.entropy:.4f} epr={report.epr:.4f}"
-        )
-        entries.append(
-            {
-                "treatment_id": data.treatment_id,
-                "n_observations": est.n_observations,
-                "n_sessions": len(data.sessions),
-                "dos": est.dos.tolist(),
-                "transition": est.transition.tolist(),
-                "counts": est.counts.tolist(),
-                "occupancy": est.occupancy.tolist(),
-                "has_outflow": est.has_outflow.tolist(),
-                "observables": observable_report_dict(report),
-                "stationarity": {
-                    "first_half_dos": diag.first_half_dos.tolist(),
-                    "second_half_dos": diag.second_half_dos.tolist(),
-                    "linf_distance": diag.linf_distance,
-                },
-            }
-        )
+def _run(config: AnalysisConfig, command: str, treat, across=None) -> dict:
+    """The pipeline every analysis command runs: check the report path, load
+    the records, build one report entry per treatment with
+    `treat(config, index, data)`, derive `(tests, fits, summary_extras)`
+    from all entries with `across(entries)`, write the report once, and
+    return the stdout summary."""
+    check_report_path(config.output)
+    datasets = load_csv(config.input, config.space)
+    _progress(f"loaded {len(datasets)} treatment(s) from {config.input}")
+    entries = [treat(config, idx, data) for idx, data in enumerate(datasets)]
+    tests, fits, extras = across(entries) if across else ({}, {}, {})
     write_report(
         entries,
-        {},
-        {},
+        tests,
+        fits,
         config.output,
         config=config.echo(),
         reproducible=config.reproducible,
     )
-    return {"command": "analyze", "output": config.output, "treatments": len(entries)}
+    return {
+        "command": command,
+        "output": config.output,
+        "treatments": len(entries),
+        **extras,
+    }
+
+
+def _analyze_treatment(config: AnalysisConfig, idx: int, data: TreatmentDataset) -> dict:
+    est = estimate_markov(data, config.burn_in)
+    report = full_report(est, config.policy)
+    diag = stationarity_diagnostic(data, config.burn_in)
+    _progress(
+        f"treatment {data.treatment_id}: n={est.n_observations} "
+        f"entropy={report.entropy:.4f} epr={report.epr:.4f}"
+    )
+    return {
+        "treatment_id": data.treatment_id,
+        "n_observations": est.n_observations,
+        "n_sessions": len(data.sessions),
+        "dos": est.dos.tolist(),
+        "transition": est.transition.tolist(),
+        "counts": est.counts.tolist(),
+        "occupancy": est.occupancy.tolist(),
+        "has_outflow": est.has_outflow.tolist(),
+        "observables": observable_report_dict(report),
+        "stationarity": {
+            "first_half_dos": diag.first_half_dos.tolist(),
+            "second_half_dos": diag.second_half_dos.tolist(),
+            "linf_distance": diag.linf_distance,
+        },
+    }
+
+
+def run_analyze(config: AnalysisConfig) -> dict:
+    """Per-treatment chain estimate, observables, and stationarity check."""
+    return _run(config, "analyze", _analyze_treatment)
 
 
 def _vnm_params_from(est: MarkovEstimate, data: TreatmentDataset, burn_in: int) -> VnmParams:
@@ -175,6 +190,72 @@ def _vnm_params_from(est: MarkovEstimate, data: TreatmentDataset, burn_in: int) 
     )
 
 
+def _minimax_treatment(config: AnalysisConfig, idx: int, data: TreatmentDataset) -> dict:
+    est = estimate_markov(data, config.burn_in)
+    report = full_report(est, config.policy)
+    params = _vnm_params_from(est, data, config.burn_in)
+    ent_null, epr_null = vnm_null_distribution(
+        params,
+        config.mc_reps,
+        config.policy,
+        config.seed.split(idx),
+        workers=config.workers,
+    )
+    _progress(
+        f"treatment {data.treatment_id}: epr={report.epr:.4f} "
+        f"null mean={epr_null.mean:.4f} (reps={config.mc_reps})"
+    )
+    return {
+        "treatment_id": data.treatment_id,
+        "n_observations": est.n_observations,
+        "p_hat": params.p,
+        "q_hat": params.q,
+        "null_sessions": params.sessions,
+        "null_rounds_per_session": params.rounds_per_session,
+        "observables": observable_report_dict(report),
+        "baselines": [
+            baseline_summary_dict(ent_null),
+            baseline_summary_dict(epr_null),
+        ],
+        "tests": {
+            "epr_vs_null_less": _safe_test(
+                one_sample_t, epr_null.samples, report.epr, "less"
+            ),
+            "entropy_vs_null_two_sided": _safe_test(
+                one_sample_t, ent_null.samples, report.entropy, "two_sided"
+            ),
+        },
+        "epr_percentile": percentile_of(epr_null.samples, report.epr),
+        "entropy_percentile": percentile_of(ent_null.samples, report.entropy),
+        "epr_mc_p": _mc_exceedance_p(epr_null.samples, report.epr),
+    }
+
+
+def _minimax_across(entries: list[dict]) -> tuple[dict, dict, dict]:
+    """Paired and Welch comparisons of the treatments' observables with
+    their null means; they need at least two treatments."""
+    if len(entries) < 2:
+        return {}, {}, {}
+    emp_epr = [e["observables"]["epr"] for e in entries]
+    emp_entropy = [e["observables"]["entropy"] for e in entries]
+    null_entropy_mean = [e["baselines"][0]["mean"] for e in entries]
+    null_epr_mean = [e["baselines"][1]["mean"] for e in entries]
+    tests = {
+        "epr_paired_greater": _safe_test(
+            paired_t, emp_epr, null_epr_mean, "greater"
+        ),
+        "epr_welch_greater": _safe_test(
+            welch_t, emp_epr, null_epr_mean, "greater"
+        ),
+        "entropy_paired_two_sided": _safe_test(
+            paired_t, emp_entropy, null_entropy_mean, "two_sided"
+        ),
+    }
+    paired = tests["epr_paired_greater"]
+    extras = {"epr_paired_p": paired["p_value"]} if "p_value" in paired else {}
+    return tests, {}, extras
+
+
 def run_minimax(config: AnalysisConfig) -> dict:
     """Test the independent-randomization prediction: per-treatment nulls on
     entropy and EPR, plus across-treatment paired comparisons."""
@@ -183,84 +264,44 @@ def run_minimax(config: AnalysisConfig) -> dict:
             "minimax-test needs the 4-state square space "
             "(index = 2*row_action + col_action)"
         )
-    entries = []
-    emp_entropy, emp_epr = [], []
-    null_entropy_mean, null_epr_mean = [], []
-    for idx, data in enumerate(_load_treatments(config)):
-        est = estimate_markov(data, config.burn_in)
-        report = full_report(est, config.policy)
-        params = _vnm_params_from(est, data, config.burn_in)
-        trt_seed = config.seed.split(idx)
-        ent_null, epr_null = vnm_null_distribution(
-            params,
-            config.mc_reps,
-            config.policy,
-            trt_seed,
-            space=config.space,
-            workers=config.workers,
-        )
-        _progress(
-            f"treatment {data.treatment_id}: epr={report.epr:.4f} "
-            f"null mean={epr_null.mean:.4f} (reps={config.mc_reps})"
-        )
-        entries.append(
-            {
-                "treatment_id": data.treatment_id,
-                "n_observations": est.n_observations,
-                "p_hat": params.p,
-                "q_hat": params.q,
-                "null_sessions": params.sessions,
-                "null_rounds_per_session": params.rounds_per_session,
-                "observables": observable_report_dict(report),
-                "baselines": [
-                    baseline_summary_dict(ent_null),
-                    baseline_summary_dict(epr_null),
-                ],
-                "tests": {
-                    "epr_vs_null_less": _safe_test(
-                        one_sample_t, epr_null.samples, report.epr, "less"
-                    ),
-                    "entropy_vs_null_two_sided": _safe_test(
-                        one_sample_t, ent_null.samples, report.entropy, "two_sided"
-                    ),
-                },
-                "epr_percentile": percentile_of(epr_null.samples, report.epr),
-                "entropy_percentile": percentile_of(ent_null.samples, report.entropy),
-                "epr_mc_p": _mc_exceedance_p(epr_null.samples, report.epr),
-            }
-        )
-        emp_entropy.append(report.entropy)
-        emp_epr.append(report.epr)
-        null_entropy_mean.append(ent_null.mean)
-        null_epr_mean.append(epr_null.mean)
+    return _run(config, "minimax-test", _minimax_treatment, _minimax_across)
 
-    tests = {}
-    if len(entries) >= 2:
-        tests["epr_paired_greater"] = _safe_test(
-            paired_t, emp_epr, null_epr_mean, "greater"
-        )
-        tests["epr_welch_greater"] = _safe_test(
-            welch_t, emp_epr, null_epr_mean, "greater"
-        )
-        tests["entropy_paired_two_sided"] = _safe_test(
-            paired_t, emp_entropy, null_entropy_mean, "two_sided"
-        )
-    write_report(
-        entries,
-        tests,
-        {},
-        config.output,
-        config=config.echo(),
-        reproducible=config.reproducible,
+
+def _cycle_treatment(config: AnalysisConfig, idx: int, data: TreatmentDataset) -> dict:
+    est = estimate_markov(data, config.burn_in)
+    epr_value, skipped = epr(est, config.policy)
+    baseline = dos_baseline(
+        est.dos,
+        est.n_observations,
+        config.mc_reps,
+        config.policy,
+        config.seed.split(idx),
+        workers=config.workers,
     )
-    summary = {
-        "command": "minimax-test",
-        "output": config.output,
-        "treatments": len(entries),
+    mc_p = _mc_exceedance_p(baseline.samples, epr_value)
+    is_detected = mc_p < config.alpha
+    _progress(
+        f"treatment {data.treatment_id}: epr={epr_value:.4f} "
+        f"baseline mean={baseline.mean:.4f} mc_p={mc_p:.2e} "
+        f"detected={is_detected}"
+    )
+    return {
+        "treatment_id": data.treatment_id,
+        "n_observations": est.n_observations,
+        "epr": epr_value,
+        "skipped_pairs": skipped,
+        "baseline": baseline_summary_dict(baseline),
+        "test": _safe_test(one_sample_t, baseline.samples, epr_value, "less"),
+        "percentile": percentile_of(baseline.samples, epr_value),
+        "mc_exceedance_p": mc_p,
+        "alpha": config.alpha,
+        "cycle_detected": is_detected,
     }
-    if "epr_paired_greater" in tests and "p_value" in tests["epr_paired_greater"]:
-        summary["epr_paired_p"] = tests["epr_paired_greater"]["p_value"]
-    return summary
+
+
+def _cycle_across(entries: list[dict]) -> tuple[dict, dict, dict]:
+    detected = [e["treatment_id"] for e in entries if e["cycle_detected"]]
+    return {}, {}, {"detected": detected}
 
 
 def run_cycle_test(config: AnalysisConfig) -> dict:
@@ -272,122 +313,37 @@ def run_cycle_test(config: AnalysisConfig) -> dict:
             f"Monte-Carlo p-value 1/(reps+1)={1.0 / (config.mc_reps + 1):.2e}; "
             f"detection can never fire at these reps"
         )
-    entries = []
-    detected = []
-    for idx, data in enumerate(_load_treatments(config)):
-        est = estimate_markov(data, config.burn_in)
-        epr_value, skipped = epr(est, config.policy)
-        baseline = dos_baseline(
-            est.dos,
-            est.n_observations,
-            config.mc_reps,
-            config.policy,
-            config.seed.split(idx),
-            workers=config.workers,
-        )
-        mc_p = _mc_exceedance_p(baseline.samples, epr_value)
-        is_detected = mc_p < config.alpha
-        _progress(
-            f"treatment {data.treatment_id}: epr={epr_value:.4f} "
-            f"baseline mean={baseline.mean:.4f} mc_p={mc_p:.2e} "
-            f"detected={is_detected}"
-        )
-        entries.append(
-            {
-                "treatment_id": data.treatment_id,
-                "n_observations": est.n_observations,
-                "epr": epr_value,
-                "skipped_pairs": skipped,
-                "baseline": baseline_summary_dict(baseline),
-                "test": _safe_test(one_sample_t, baseline.samples, epr_value, "less"),
-                "percentile": percentile_of(baseline.samples, epr_value),
-                "mc_exceedance_p": mc_p,
-                "alpha": config.alpha,
-                "cycle_detected": is_detected,
-            }
-        )
-        if is_detected:
-            detected.append(data.treatment_id)
-    write_report(
-        entries,
-        {},
-        {},
-        config.output,
-        config=config.echo(),
-        reproducible=config.reproducible,
-    )
+    return _run(config, "cycle-test", _cycle_treatment, _cycle_across)
+
+
+def _motion_treatment(config: AnalysisConfig, idx: int, data: TreatmentDataset) -> dict:
+    est = estimate_markov(data, config.burn_in)
+    report = full_report(est, config.policy)
     return {
-        "command": "cycle-test",
-        "output": config.output,
-        "treatments": len(entries),
-        "detected": detected,
+        "treatment_id": data.treatment_id,
+        "n_observations": est.n_observations,
+        "epr": report.epr,
+        "motion": report.motion,
     }
 
 
-def run_motion_fit(config: AnalysisConfig) -> dict:
-    """Regress motion on EPR across all input treatments."""
-    entries = []
-    eprs, motions = [], []
-    for data in _load_treatments(config):
-        est = estimate_markov(data, config.burn_in)
-        report = full_report(est, config.policy)
-        entries.append(
-            {
-                "treatment_id": data.treatment_id,
-                "n_observations": est.n_observations,
-                "epr": report.epr,
-                "motion": report.motion,
-            }
-        )
-        eprs.append(report.epr)
-        motions.append(report.motion)
-    fit = ols_fit(eprs, motions)
+def _motion_across(entries: list[dict]) -> tuple[dict, dict, dict]:
+    fit = ols_fit([e["epr"] for e in entries], [e["motion"] for e in entries])
     _progress(
         f"motion = ({fit.slope:.4f} ± {fit.slope_stderr:.4f}) * epr "
         f"+ {fit.intercept:.4f}, R^2 = {fit.r_squared:.4f}"
     )
-    write_report(
-        entries,
-        {},
-        {"motion_on_epr": fit},
-        config.output,
-        config=config.echo(),
-        reproducible=config.reproducible,
-    )
-    return {
-        "command": "motion-fit",
-        "output": config.output,
-        "treatments": len(entries),
-        "slope": fit.slope,
-        "r_squared": fit.r_squared,
-    }
+    return {}, {"motion_on_epr": fit}, {"slope": fit.slope, "r_squared": fit.r_squared}
+
+
+def run_motion_fit(config: AnalysisConfig) -> dict:
+    """Regress motion on EPR across all input treatments."""
+    return _run(config, "motion-fit", _motion_treatment, _motion_across)
 
 
 # ---------------------------------------------------------------------------
 # synthetic data generation
 # ---------------------------------------------------------------------------
-
-
-def cycle_transition(r: int, order, forward: float, backward: float) -> np.ndarray:
-    """Row-stochastic matrix driving the states around `order`: probability
-    `forward` to the next state, `backward` to the previous, remainder stays."""
-    stay = 1.0 - forward - backward
-    if forward < 0 or backward < 0 or stay < -1e-12:
-        raise ConfigError(
-            f"forward + backward must be <= 1 and nonnegative "
-            f"(forward={forward}, backward={backward})"
-        )
-    stay = max(stay, 0.0)
-    transition = np.zeros((r, r))
-    k = len(order)
-    for pos, state in enumerate(order):
-        transition[state, order[(pos + 1) % k]] += forward
-        transition[state, order[(pos - 1) % k]] += backward
-        transition[state, state] += stay
-    return transition
-
-
-_SQUARE_CYCLE_ORDER = (0, 2, 3, 1)
 
 
 def _simulate_datasets(
@@ -405,6 +361,7 @@ def _simulate_datasets(
     drive_sweep: list[float] | None,
     dos: list[float] | None,
 ) -> tuple[list[TreatmentDataset], StateSpace]:
+    """Map the `simulate` flags to generator calls, one dataset per treatment."""
     if model == "ring":
         space = triangle_3()
     r = space.size
@@ -415,7 +372,7 @@ def _simulate_datasets(
         if model == "square-cycle":
             fwd = drive_sweep[t_index] if drive_sweep else forward
             return np.full(r, 1.0 / r), cycle_transition(
-                r, _SQUARE_CYCLE_ORDER, fwd, backward
+                r, SQUARE_CYCLE_ORDER, fwd, backward
             )
         if model == "iid":
             if dos is None:
@@ -550,8 +507,7 @@ def _simulate_cmd(
     forward, backward, drive_sweep, dos, encoding, space_text,
 ) -> None:
     """Write synthetic record files for any of the bundled generators."""
-    if not (0 <= seed <= _MAX_SEED):
-        raise ConfigError("--seed must be a 64-bit unsigned integer")
+    root = _seed(seed)
     if rounds < 2:
         raise ConfigError("--rounds must be >= 2")
     if sessions < 1 or treatments < 1:
@@ -572,7 +528,7 @@ def _simulate_cmd(
         datasets, space = _simulate_datasets(
             model,
             load_space(space_text),
-            Seed(seed),
+            root,
             treatments=treatments,
             sessions=sessions,
             rounds=rounds,

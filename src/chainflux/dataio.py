@@ -166,7 +166,7 @@ def load_space(descriptor: str) -> StateSpace:
             labels=tuple(payload["labels"]),
             coordinates=np.asarray(payload["coordinates"], dtype=float),
         )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad state-space descriptor {descriptor!r}: {exc}") from exc
 
 
@@ -727,7 +727,6 @@ def write_report(
     path,
     *,
     config: dict | None = None,
-    tool_version: str | None = None,
     reproducible: bool = False,
 ) -> None:
     """Write the analysis document as one JSON file.
@@ -742,10 +741,10 @@ def write_report(
         ReportIoError: the document holds NaN or Infinity, or the file
             cannot be written; the target path is left untouched.
     """
-    if tool_version is None:
-        from . import __version__ as tool_version
+    from . import __version__
+
     document = {
-        "tool": {"name": "chainflux", "version": tool_version},
+        "tool": {"name": "chainflux", "version": __version__},
         "config": config or {},
         "treatments": list(reports),
         "tests": {

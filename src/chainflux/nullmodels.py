@@ -35,6 +35,8 @@ __all__ = [
     "Seed",
     "VnmParams",
     "BaselineDistribution",
+    "SQUARE_CYCLE_ORDER",
+    "cycle_transition",
     "simulate_chain",
     "simulate_vnm",
     "vnm_null_distribution",
@@ -140,6 +142,34 @@ def _check_distribution(vec: np.ndarray, what: str) -> None:
             f"{what} must be nonnegative and sum to 1 within {_NORM_TOL}; "
             f"got sum {float(vec.sum())!r}"
         )
+
+
+# Square states in driven-cycle order: (0,0) -> (1,0) -> (1,1) -> (0,1).
+SQUARE_CYCLE_ORDER = (0, 2, 3, 1)
+
+
+def cycle_transition(r: int, order, forward: float, backward: float) -> np.ndarray:
+    """Row-stochastic matrix driving the states around `order`: probability
+    `forward` to the next state, `backward` to the previous, remainder stays.
+
+    Raises:
+        InvalidDistributionError: forward or backward is negative, or their
+            sum exceeds 1.
+    """
+    stay = 1.0 - forward - backward
+    if forward < 0 or backward < 0 or stay < -1e-12:
+        raise InvalidDistributionError(
+            f"forward + backward must be <= 1 and nonnegative "
+            f"(forward={forward}, backward={backward})"
+        )
+    stay = max(stay, 0.0)
+    transition = np.zeros((r, r))
+    k = len(order)
+    for pos, state in enumerate(order):
+        transition[state, order[(pos + 1) % k]] += forward
+        transition[state, order[(pos - 1) % k]] += backward
+        transition[state, state] += stay
+    return transition
 
 
 def simulate_chain(
@@ -331,24 +361,18 @@ def vnm_null_distribution(
     policy: ZeroFluxPolicy,
     seed: Seed,
     *,
-    space: StateSpace | None = None,
     workers: int = 1,
 ) -> tuple[BaselineDistribution, BaselineDistribution]:
     """Sample the independent-play null: each replicate simulates a dataset
     under params, estimates its chain, and records entropy and EPR.
 
     Returns (entropy baseline, EPR baseline) with `reps` samples each, in
-    replicate order. The null always plays on the canonical square space;
-    a `space` given here must be that space. `workers` is capped at the
-    number of CPUs the process may use.
+    replicate order. The null always plays on the canonical square space
+    (index = 2*row_action + col_action). `workers` is capped at the number
+    of CPUs the process may use.
     """
     if reps < 2:
         raise ValueError("reps must be >= 2")
-    if space is not None and not is_square_2x2(space):
-        raise ValueError(
-            "the independent-play null needs the canonical 4-state square "
-            "space (index = 2*row_action + col_action)"
-        )
     results = _run_chunks(_vnm_chunk, (params, policy, seed), reps, workers)
     ent = np.concatenate([r[0] for r in results])
     pro = np.concatenate([r[1] for r in results])

@@ -17,6 +17,7 @@ from chainflux import (
     square_2x2,
     triangle_3,
 )
+from chainflux.nullmodels import SQUARE_CYCLE_ORDER, cycle_transition
 
 RING_TRANSITION = np.array(
     [
@@ -28,8 +29,6 @@ RING_TRANSITION = np.array(
 
 # forward 0.25*log_3(2), the closed-form EPR of the ring above
 RING_EPR = 0.25 * np.log(2.0) / np.log(3.0)
-
-SQUARE_CYCLE_ORDER = (0, 2, 3, 1)
 
 
 def make_dataset(sessions, space=None, treatment_id="t") -> TreatmentDataset:
@@ -52,13 +51,7 @@ def ring_estimate() -> MarkovEstimate:
 
 def square_cycle_estimate(forward=1.0, backward=0.0) -> MarkovEstimate:
     """Exact driven cycle 0 -> 2 -> 3 -> 1 -> 0 on the unit square, uniform DOS."""
-    stay = 1.0 - forward - backward
-    transition = np.zeros((4, 4))
-    k = len(SQUARE_CYCLE_ORDER)
-    for pos, state in enumerate(SQUARE_CYCLE_ORDER):
-        transition[state, SQUARE_CYCLE_ORDER[(pos + 1) % k]] += forward
-        transition[state, SQUARE_CYCLE_ORDER[(pos - 1) % k]] += backward
-        transition[state, state] += stay
+    transition = cycle_transition(4, SQUARE_CYCLE_ORDER, forward, backward)
     return MarkovEstimate.from_exact(square_2x2(), np.full(4, 0.25), transition)
 
 

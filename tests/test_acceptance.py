@@ -198,9 +198,7 @@ def _minimax_paired_p(run_seed: Seed, data_seed: Seed, reps: int):
         p_hat = float(est.dos[2] + est.dos[3])
         q_hat = float(est.dos[1] + est.dos[3])
         matched = VnmParams(p=p_hat, q=q_hat, sessions=2, rounds_per_session=150)
-        _, null = vnm_null_distribution(
-            matched, reps, SKIP, run_seed.split(idx), space=space
-        )
+        _, null = vnm_null_distribution(matched, reps, SKIP, run_seed.split(idx))
         emp.append(value)
         null_mean.append(null.mean)
     return paired_t(emp, null_mean, "greater").p_value, datasets

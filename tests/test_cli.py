@@ -28,6 +28,16 @@ def simulate(capsys, tmp_path, name, *args):
     return path
 
 
+def _io_args(command, tmp_path):
+    """--input/--output for an analysis command on a two-row file, or
+    --model/--output for simulate."""
+    if command == "simulate":
+        return ("--model", "vnm", "--output", str(tmp_path / "x.csv"))
+    data = tmp_path / "d.csv"
+    data.write_text("treatment_id,session_id,round,state\nt,s,1,0\nt,s,2,1\n")
+    return ("--input", str(data), "--output", str(tmp_path / "r.json"))
+
+
 class TestSimulate:
     def test_deterministic_cycle_csv(self, capsys, tmp_path):
         path = simulate(
@@ -437,14 +447,30 @@ class TestExitCodesAndDeterminism:
         assert code == 1
         assert err == f"error: cannot write report to {tmp_path}: it is a directory\n"
 
-    def test_bad_seed_exit_1(self, capsys, tmp_path):
-        data = tmp_path / "d.csv"
-        data.write_text("treatment_id,session_id,round,state\nt,s,1,0\nt,s,2,1\n")
-        code, _, _ = run_cli(
-            capsys, "analyze", "--input", str(data),
-            "--output", str(tmp_path / "r.json"), "--seed", "-3",
+    @pytest.mark.parametrize(
+        "command, seed",
+        [("analyze", "-3"), ("analyze", str(1 << 64)), ("simulate", "-1")],
+        ids=["analyze-negative", "analyze-too-large", "simulate-negative"],
+    )
+    def test_bad_seed_exit_1(self, capsys, tmp_path, command, seed):
+        code, summary, err = run_cli(
+            capsys, command, *_io_args(command, tmp_path), "--seed", seed
         )
         assert code == 1
+        assert summary is None
+        assert err == "error: --seed must be a 64-bit unsigned integer\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    def test_space_that_is_a_directory_exit_1(self, capsys, tmp_path, command):
+        code, summary, err = run_cli(
+            capsys, command, *_io_args(command, tmp_path), "--space", str(tmp_path)
+        )
+        assert code == 1
+        assert summary is None
+        assert err.startswith(
+            f"error: bad state-space descriptor {str(tmp_path)!r}: "
+        )
 
     def test_internal_error_exit_2(self, capsys, monkeypatch, tmp_path):
         import chainflux.cli as cli_module
@@ -524,3 +550,82 @@ class TestExitCodesAndDeterminism:
         first = out.read_bytes()
         assert run_cli(capsys, *args)[0] == 0
         assert out.read_bytes() == first
+
+
+# Small simulated inputs for the golden runs below.
+GOLDEN_INPUTS = {
+    "vnm": ("--model", "vnm", "--treatments", "3", "--sessions", "2",
+            "--rounds", "40", "--p", "0.6", "--q", "0.3", "--seed", "5"),
+    "sweep": ("--model", "square-cycle", "--drive-sweep", "0.1,0.5,0.8",
+              "--backward", "0.1", "--sessions", "2", "--rounds", "60",
+              "--seed", "6"),
+}
+
+
+def _golden_run(capsys, tmp_path, command, model, *args):
+    """Run one analysis command on a golden input; return the sha256 of the
+    report without the echoed input/output paths, the stdout summary without
+    its output path, and the sha256 of stderr with the input path replaced."""
+    import hashlib
+
+    data = simulate(capsys, tmp_path, "golden.csv", *GOLDEN_INPUTS[model])
+    out = tmp_path / "golden.json"
+    code, summary, err = run_cli(
+        capsys, command, "--input", str(data), "--output", str(out),
+        "--seed", "11", "--reproducible", *args,
+    )
+    assert code == 0, err
+    echoed = {f'"input": {json.dumps(str(data))}',
+              f'"output": {json.dumps(str(out))}'}
+    lines = out.read_text(encoding="utf-8").splitlines(keepends=True)
+    kept = [line for line in lines if line.strip().rstrip(",") not in echoed]
+    assert len(kept) == len(lines) - 2
+    assert summary.pop("output") == str(out)
+    return (
+        hashlib.sha256("".join(kept).encode()).hexdigest(),
+        summary,
+        hashlib.sha256(err.replace(str(data), "<input>").encode()).hexdigest(),
+    )
+
+
+class TestGoldenReports:
+    """For fixed seeds the four analysis commands must keep writing the same
+    reports, summaries and progress, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "command, model, args, report_sha, summary, err_sha",
+        [
+            (
+                "analyze", "vnm", (),
+                "61988b9e88bb3866a42db996044354582fdbed2d74fef3ca90f9b4ebd7e371e7",
+                {"command": "analyze", "treatments": 3},
+                "4afbc0df49e167967e65371bffd25e1516aef77ead8f6ccd8a427508f4338fc0",
+            ),
+            (
+                "cycle-test", "sweep", ("--reps", "200", "--alpha", "0.01"),
+                "1af195aad981c985289c0a2c265d2012dbffae1229156fe0e8a5fe863fb7ba61",
+                {"command": "cycle-test", "detected": ["T02", "T03"],
+                 "treatments": 3},
+                "0c624d459471059e376a651b876835d786007ed28423315c3850b813f4b30a2f",
+            ),
+            (
+                "minimax-test", "vnm", ("--reps", "100"),
+                "eff23387b9383fe7a7029a790e230846cbc308a88c1062a9a5839672b5f6a8ca",
+                {"command": "minimax-test", "epr_paired_p": 0.5988828648177722,
+                 "treatments": 3},
+                "7f6ab0483429d8363445110a3eda7e79e1b7b47ced3bb2ddf5e63d3bcd32a0d5",
+            ),
+            (
+                "motion-fit", "sweep", (),
+                "28deb648d6c9578603ae70513bb7d4ded4277dc2becddfaa67a9879cc23cd74e",
+                {"command": "motion-fit", "r_squared": 0.9872373216038093,
+                 "slope": 0.029167804446704085, "treatments": 3},
+                "c34a8963743d5279f9f221a28a39a17ae8c93ced373b40b7f750197fa523f212",
+            ),
+        ],
+    )
+    def test_reproducible_outputs_pinned(
+        self, capsys, tmp_path, command, model, args, report_sha, summary, err_sha
+    ):
+        got = _golden_run(capsys, tmp_path, command, model, *args)
+        assert got == (report_sha, summary, err_sha)

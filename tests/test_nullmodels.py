@@ -17,6 +17,7 @@ from chainflux import (
     TreatmentDataset,
     VnmParams,
     ZeroFluxPolicy,
+    cycle_transition,
     dos_baseline,
     entropy,
     epr,
@@ -168,6 +169,18 @@ class TestSimulateChain:
             for j in range(4):
                 se = np.sqrt(transition[i, j] * (1 - transition[i, j]) / visits)
                 assert abs(est.transition[i, j] - transition[i, j]) < 4 * se + 1e-12
+
+
+class TestCycleTransition:
+    def test_ring_matches_closed_form(self):
+        assert np.array_equal(
+            cycle_transition(3, (0, 1, 2), 0.5, 0.25), RING_TRANSITION
+        )
+
+    @pytest.mark.parametrize("forward, backward", [(0.9, 0.5), (-0.1, 0.2)])
+    def test_bad_drive_raises(self, forward, backward):
+        with pytest.raises(InvalidDistributionError, match="forward"):
+            cycle_transition(4, (0, 2, 3, 1), forward, backward)
 
 
 class TestSimulateVnm:
