@@ -180,10 +180,11 @@ def run_analyze(config: AnalysisConfig) -> dict:
 
 
 def _vnm_params_from(est: MarkovEstimate, data: TreatmentDataset, burn_in: int) -> VnmParams:
-    """Match the data's sample size and mean strategy frequencies."""
+    """Match the data's sample size and mean strategy frequencies; only
+    sessions left with a transition pair after burn-in count."""
     p_hat = float(est.dos[2] + est.dos[3])  # P(row_action = 1)
     q_hat = float(est.dos[1] + est.dos[3])  # P(col_action = 1)
-    lengths = [len(t) - burn_in for t in data.sessions if len(t) > burn_in]
+    lengths = [len(t) - burn_in for t in data.sessions if len(t) - burn_in >= 2]
     rounds = max(2, int(round(sum(lengths) / len(lengths))))
     return VnmParams(
         p=p_hat, q=q_hat, sessions=len(lengths), rounds_per_session=rounds

@@ -24,14 +24,22 @@ the rest, and whole columns of its rows are converted at once. Memory is
 bounded by one block's index arrays plus one small integer per row of
 states; no whole-file per-row array exists.
 
+write_csv writes the bytes csv.writer would, without a writer call per
+row: each session's id prefix is csv-quoted once, every state maps to a
+precomputed row tail, and rows are joined and written in batches of at most
+_WRITE_BATCH_ROWS, so memory beyond the states does not grow with session
+length.
+
 Reports are a single strict JSON document (no NaN or Infinity); floats
 serialize via repr (17 significant digits), so write-then-parse round-trips
-bit-for-bit. A report is written to a temporary file beside the target and
-then renamed into place, so a failed write never leaves a partial file.
+bit-for-bit. Reports and record files are written to a temporary file
+beside the target and then renamed into place, so a failed write never
+leaves a partial file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import io
@@ -91,6 +99,8 @@ _BUILTIN_SPACES = {"square": square_2x2, "triangle": triangle_3}
 _BLOCK_BYTES = 1 << 16
 # Rows per validation batch once a quote sends the rest of a file through csv.
 _QUOTED_BATCH_ROWS = 4096
+# Rows per write in write_csv; bounds its memory for any session length.
+_WRITE_BATCH_ROWS = 1 << 16
 _BOM = b"\xef\xbb\xbf"
 _LINE_END = re.compile(rb"\r\n|\r|\n")
 # Longest digit string that always fits in int64; longer cells go via int().
@@ -630,10 +640,14 @@ def write_csv(datasets, path, encoding: str = "state") -> None:
     """Write datasets in the load_csv contract; inverse of load_csv on
     content. encoding='actions' requires the canonical 4-state square space.
 
+    The bytes are those of csv.writer with its default dialect, one row per
+    record.
+
     Raises:
         ValueError: bad encoding, or actions asked for off the square space;
             raised before the file is opened.
-        ReportIoError: the file cannot be created.
+        ReportIoError: the file cannot be written; the target is left
+            untouched.
     """
     if encoding not in ("state", "actions"):
         raise ValueError(f"encoding must be 'state' or 'actions', got {encoding!r}")
@@ -641,24 +655,33 @@ def write_csv(datasets, path, encoding: str = "state") -> None:
     actions = encoding == "actions"
     if actions and not all(is_square_2x2(data.space) for data in datasets):
         raise ValueError("action encoding requires the 4-state square convention")
-    path = Path(path)
-    try:
-        fh = path.open("w", newline="", encoding="utf-8")
-    except OSError as exc:
-        raise ReportIoError(f"cannot write {path}: {exc}") from exc
-    with fh:
-        writer = csv.writer(fh)
-        writer.writerow(_ACTION_HEADER if actions else _STATE_HEADER)
+    longest = max((len(t) for d in datasets for t in d.sessions), default=0)
+    rounds = [str(k) for k in range(1, min(longest, _WRITE_BATCH_ROWS) + 1)]
+    with _atomic_text(Path(path), "") as fh:
+        csv.writer(fh).writerow(_ACTION_HEADER if actions else _STATE_HEADER)
         for data in datasets:
+            if actions:
+                tails = [f",{s // 2},{s % 2}\r\n" for s in range(4)]
+            else:
+                tails = [f",{s}\r\n" for s in range(data.space.size)]
             for traj in data.sessions:
-                for rnd, s in enumerate(traj.states, start=1):
-                    s = int(s)
-                    if actions:
-                        writer.writerow(
-                            [data.treatment_id, traj.session_id, rnd, s // 2, s % 2]
-                        )
+                prefix = _csv_prefix(data.treatment_id, traj.session_id)
+                for lo in range(0, len(traj), _WRITE_BATCH_ROWS):
+                    states = traj.states[lo : lo + _WRITE_BATCH_ROWS].tolist()
+                    if lo == 0:
+                        texts = rounds[: len(states)]
                     else:
-                        writer.writerow([data.treatment_id, traj.session_id, rnd, s])
+                        texts = map(str, range(lo + 1, lo + len(states) + 1))
+                    heads = [prefix + text for text in texts]
+                    rows = map(operator.add, heads, map(tails.__getitem__, states))
+                    fh.write("".join(rows))
+
+
+def _csv_prefix(treatment_id, session_id) -> str:
+    """The csv-quoted 'treatment_id,session_id,' that starts a session's rows."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([treatment_id, session_id, ""])
+    return buf.getvalue()[: -len("\r\n")]
 
 
 def observable_report_dict(report: ObservableReport) -> dict:
@@ -764,14 +787,28 @@ def write_report(
         )
     except ValueError as exc:
         raise ReportIoError(f"report for {path} is not valid JSON: {exc}") from exc
-    path = Path(path)
+    with _atomic_text(Path(path), "report to ") as fh:
+        fh.write(text + "\n")
+
+
+@contextlib.contextmanager
+def _atomic_text(path: Path, what: str):
+    """Yield a UTF-8 text file, without newline translation, that replaces
+    `path` when the block ends.
+
+    The file is written as .<name>.<pid>.tmp beside the target and renamed
+    into place with os.replace, so the target is either the old file or the
+    complete new one. On any failure the temporary file is removed; an
+    OSError becomes ReportIoError("cannot write <what><path>: <reason>").
+    """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         try:
-            tmp.write_text(text + "\n", encoding="utf-8")
+            with open(tmp, "w", newline="", encoding="utf-8") as fh:
+                yield fh
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
     except OSError as exc:
         reason = exc.strerror or exc
-        raise ReportIoError(f"cannot write report to {path}: {reason}") from exc
+        raise ReportIoError(f"cannot write {what}{path}: {reason}") from exc

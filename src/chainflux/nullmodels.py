@@ -10,10 +10,17 @@ of worker processes.
 Replicates are evaluated in blocks: one (B, n) array of uniforms, one
 offset bincount for the occupancy and pair counts of all B replicates, and
 the batched observables. A block holds at most _BLOCK_DRAWS uniforms.
+
+A uniform u maps to the state that counts the cumulative-probability cuts
+at or below it (_cuts). The nulls compare whole blocks against the cuts;
+simulate_chain, whose next row depends on the current state, walks the
+chain with one bisect per step over plain Python lists. Distributions must
+be finite, nonnegative and normalized before any draw.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
@@ -137,11 +144,25 @@ class BaselineDistribution:
 
 
 def _check_distribution(vec: np.ndarray, what: str) -> None:
-    if vec.min() < 0.0 or abs(float(vec.sum()) - 1.0) > _NORM_TOL:
+    # NaN fails no comparison, so finiteness is checked on its own
+    if (
+        not np.isfinite(vec).all()
+        or vec.min() < 0.0
+        or abs(float(vec.sum()) - 1.0) > _NORM_TOL
+    ):
         raise InvalidDistributionError(
-            f"{what} must be nonnegative and sum to 1 within {_NORM_TOL}; "
+            f"{what} must be finite, nonnegative and sum to 1 within {_NORM_TOL}; "
             f"got sum {float(vec.sum())!r}"
         )
+
+
+def _cuts(p: np.ndarray) -> np.ndarray:
+    """Cumulative sums along the last axis with the last one dropped.
+
+    The state a uniform u draws from p is the number of cuts at or below u,
+    bisect_right(cuts, u), which equals min(bisect_right(cumsum(p), u), r - 1).
+    """
+    return np.cumsum(p, axis=-1)[..., :-1]
 
 
 # Square states in driven-cycle order: (0,0) -> (1,0) -> (1,1) -> (0,1).
@@ -153,11 +174,12 @@ def cycle_transition(r: int, order, forward: float, backward: float) -> np.ndarr
     `forward` to the next state, `backward` to the previous, remainder stays.
 
     Raises:
-        InvalidDistributionError: forward or backward is negative, or their
-            sum exceeds 1.
+        InvalidDistributionError: forward or backward is negative or NaN, or
+            their sum exceeds 1.
     """
     stay = 1.0 - forward - backward
-    if forward < 0 or backward < 0 or stay < -1e-12:
+    # written so that NaN fails it
+    if not (forward >= 0 and backward >= 0 and stay >= -1e-12):
         raise InvalidDistributionError(
             f"forward + backward must be <= 1 and nonnegative "
             f"(forward={forward}, backward={backward})"
@@ -192,17 +214,15 @@ def simulate_chain(
     for i in range(r):
         _check_distribution(transition[i], f"transition row {i}")
 
-    u = seed.generator().random(n)
-    cum0 = np.cumsum(dos0).tolist()
-    cum_rows = [row.tolist() for row in np.cumsum(transition, axis=1)]
-    last = r - 1
-    states = np.empty(n, dtype=np.int64)
-    s = min(bisect_right(cum0, u[0]), last)
-    states[0] = s
-    for t in range(1, n):
-        s = min(bisect_right(cum_rows[s], u[t]), last)
-        states[t] = s
-    return Trajectory(session_id=session_id, states=states)
+    u = seed.generator().random(n).tolist()
+    cuts = _cuts(transition).tolist()
+    s = bisect_right(_cuts(dos0).tolist(), u[0])
+    states = [s]
+    append = states.append
+    for x in itertools.islice(u, 1, None):
+        s = bisect_right(cuts[s], x)
+        append(s)
+    return Trajectory(session_id=session_id, states=np.array(states, dtype=np.int64))
 
 
 def _vnm_states(u: np.ndarray, p: float, q: float) -> np.ndarray:
@@ -317,9 +337,7 @@ def _dos_chunk(
     lo: int,
     hi: int,
 ) -> np.ndarray:
-    # state = number of cumulative-DOS cuts at or below u, which is
-    # min(searchsorted(cumsum(dos), u, 'right'), r - 1)
-    cuts = np.cumsum(dos)[:-1]
+    cuts = _cuts(dos)
     out = np.empty(hi - lo)
     uniforms = _uniforms(seed)
     for start, stop in _blocks(lo, hi, n_rounds):

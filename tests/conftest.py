@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import errno
+import os
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -78,3 +81,33 @@ def square_space() -> StateSpace:
 @pytest.fixture
 def triangle_space() -> StateSpace:
     return triangle_3()
+
+
+class _FullDisk:
+    """A text file that takes `room` characters, then fails like a full disk."""
+
+    def __init__(self, fh, room: int):
+        self.fh, self.room = fh, room
+
+    def write(self, text):
+        taken = text[: self.room]
+        self.fh.write(taken)
+        self.room -= len(taken)
+        if len(taken) < len(text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return len(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def fill_disk(monkeypatch, room: int) -> None:
+    """Make every file that dataio opens for writing fail after `room` chars."""
+    import chainflux.dataio as dataio
+
+    monkeypatch.setattr(
+        dataio, "open", lambda *a, **k: _FullDisk(open(*a, **k), room), raising=False
+    )

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from chainflux.cli import main
-from conftest import RING_EPR
+from conftest import RING_EPR, fill_disk
 
 
 def run_cli(capsys, *argv):
@@ -116,6 +116,46 @@ class TestSimulate:
         assert summary is None
         assert err == "error: action encoding requires the 4-state square convention\n"
         assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("--model", "iid", "--dos", "nan,0.5,0.25,0.25"),
+             "dos0 must be finite, nonnegative and sum to 1 within 1e-09; "
+             "got sum nan"),
+            (("--model", "iid", "--dos", "0.5,inf,0.25,0.25"),
+             "dos0 must be finite, nonnegative and sum to 1 within 1e-09; "
+             "got sum inf"),
+            (("--model", "square-cycle", "--forward", "nan"),
+             "forward + backward must be <= 1 and nonnegative "
+             "(forward=nan, backward=0.25)"),
+        ],
+        ids=["iid-nan", "iid-inf", "square-cycle-nan"],
+    )
+    def test_non_finite_distribution_exit_1_without_file(
+        self, capsys, tmp_path, args, message
+    ):
+        out = tmp_path / "x.csv"
+        code, summary, err = run_cli(
+            capsys, "simulate", *args, "--rounds", "10", "--output", str(out),
+        )
+        assert code == 1
+        assert summary is None
+        assert err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_failed_write_exit_1_without_file(self, capsys, monkeypatch, tmp_path):
+        fill_disk(monkeypatch, room=100)
+        out = tmp_path / "x.csv"
+        code, summary, err = run_cli(
+            capsys, "simulate", "--model", "vnm", "--rounds", "50",
+            "--output", str(out),
+        )
+        assert code == 1
+        assert summary is None
+        assert err == f"error: cannot write {out}: No space left on device\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestAnalyze:
@@ -330,6 +370,27 @@ class TestMinimaxTest:
             assert entry["epr_mc_p"] < 0.001
             assert entry["epr_percentile"] == 1.0
         assert summary["epr_paired_p"] < 0.001
+
+    def test_null_counts_only_sessions_with_a_pair(self, capsys, tmp_path):
+        # burn-in 2 leaves the 3-round sessions one record and no pair, so
+        # the null holds the one 60-round session fixed: 1 x 58 rounds
+        rng = np.random.default_rng(21)
+        rows = ["treatment_id,session_id,round,state"]
+        for tid in ("A", "B"):
+            for sid, rounds in [(f"s{k}", 3) for k in range(5)] + [("long", 60)]:
+                rows += [f"{tid},{sid},{t + 1},{s}"
+                         for t, s in enumerate(rng.integers(0, 4, rounds))]
+        data = tmp_path / "d.csv"
+        data.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "mm.json"
+        code, _, err = run_cli(
+            capsys, "minimax-test", "--input", str(data), "--output", str(out),
+            "--burn-in", "2", "--reps", "50", "--seed", "4",
+        )
+        assert code == 0, err
+        for entry in json.loads(out.read_text())["treatments"]:
+            assert entry["null_sessions"] == 1
+            assert entry["null_rounds_per_session"] == 58
 
     def test_requires_square_space(self, capsys, tmp_path):
         data = simulate(capsys, tmp_path, "ring.csv", "--model", "ring",
@@ -629,3 +690,47 @@ class TestGoldenReports:
     ):
         got = _golden_run(capsys, tmp_path, command, model, *args)
         assert got == (report_sha, summary, err_sha)
+
+
+class TestGoldenSimulate:
+    """For fixed seeds `simulate` must keep writing the same record files,
+    byte for byte, in every encoding valid for its model."""
+
+    INPUTS = {
+        "vnm": ("--model", "vnm", "--treatments", "2", "--sessions", "3",
+                "--rounds", "120", "--p", "0.6", "--q", "0.3", "--seed", "5"),
+        "ring": ("--model", "ring", "--treatments", "2", "--sessions", "2",
+                 "--rounds", "150", "--forward", "0.6", "--backward", "0.2",
+                 "--seed", "7"),
+        "sweep": ("--model", "square-cycle", "--drive-sweep", "0.1,0.5,0.8",
+                  "--backward", "0.1", "--sessions", "2", "--rounds", "110",
+                  "--seed", "6"),
+        "iid": ("--model", "iid", "--dos", "0.1,0.2,0.3,0.4", "--treatments",
+                "2", "--sessions", "3", "--rounds", "105", "--seed", "8"),
+    }
+
+    @pytest.mark.parametrize(
+        "model, encoding, csv_sha",
+        [
+            ("vnm", "state",
+             "54e4a0e07d699560b356423fdd299c7fe4728669c647b421f529e54ec2f3e78a"),
+            ("vnm", "actions",
+             "79a1e2c3340994790c1e69f7402104a9cc5f8224467662a6b1826117a3f7c135"),
+            ("ring", "state",
+             "2bab552e58907d0e5be9c08fd00350c9f3c4390a9ee1d56280c908f5f6571619"),
+            ("sweep", "state",
+             "3a95a981501058139ae6872676e4b50d4e1dfdfd204c32d1aad26e53f94288d9"),
+            ("sweep", "actions",
+             "4d9d8176d6e6ce081270e669534e83ffc8504d860e4832401bd623840e035e38"),
+            ("iid", "state",
+             "bf8c3bee01a593012bd2e46e5674189b8205b7d93b6a6b292820c7374ea102f2"),
+            ("iid", "actions",
+             "68a521e79fd9c3bed162c53fa9cf2e83b9a96fdf27e8df6cf51463d4412d834c"),
+        ],
+    )
+    def test_record_files_pinned(self, capsys, tmp_path, model, encoding, csv_sha):
+        import hashlib
+
+        path = simulate(capsys, tmp_path, "golden.csv", *self.INPUTS[model],
+                        "--encoding", encoding)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == csv_sha

@@ -34,7 +34,7 @@ from chainflux.errors import (
 )
 from chainflux.stats import ols_fit, one_sample_t
 
-from conftest import make_dataset
+from conftest import fill_disk, make_dataset
 
 
 def write_text(tmp_path, name, text):
@@ -333,6 +333,60 @@ class TestWriteReport:
         data = make_dataset([[0, 1, 2]])
         with pytest.raises(ReportIoError, match="cannot write"):
             write_csv([data], tmp_path / "no-dir" / "x.csv")
+
+
+class TestAtomicWrites:
+    """write_csv and write_report replace their target only with a complete
+    file; a failed write is ReportIoError and leaves no temporary file."""
+
+    def test_failed_csv_write_leaves_no_file(self, tmp_path, monkeypatch):
+        fill_disk(monkeypatch, room=60)
+        target = tmp_path / "x.csv"
+        with pytest.raises(ReportIoError) as exc:
+            write_csv([make_dataset([[0, 1, 2, 3] * 20])], target)
+        assert str(exc.value) == f"cannot write {target}: No space left on device"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_csv_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "x.csv"
+        write_csv([make_dataset([[0, 1]])], target)
+        before = target.read_bytes()
+        fill_disk(monkeypatch, room=60)
+        with pytest.raises(ReportIoError):
+            write_csv([make_dataset([[0, 1, 2, 3] * 20])], target)
+        assert target.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_failed_report_write_keeps_previous_report(self, tmp_path, monkeypatch):
+        target = tmp_path / "r.json"
+        write_report([{"epr": 0.5}], {}, {}, target, reproducible=True)
+        before = target.read_bytes()
+        fill_disk(monkeypatch, room=10)
+        with pytest.raises(ReportIoError) as exc:
+            write_report([{"epr": 0.25}], {}, {}, target, reproducible=True)
+        assert str(exc.value) == (
+            f"cannot write report to {target}: No space left on device"
+        )
+        assert target.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_csv_target_that_is_a_directory(self, tmp_path):
+        (tmp_path / "d").mkdir()
+        with pytest.raises(ReportIoError, match="cannot write"):
+            write_csv([make_dataset([[0, 1]])], tmp_path / "d")
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
+        assert list((tmp_path / "d").iterdir()) == []
+
+    def test_other_errors_remove_the_temporary_file(self, tmp_path, monkeypatch):
+        import chainflux.dataio as dataio
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(dataio, "_csv_prefix", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            write_csv([make_dataset([[0, 1]])], tmp_path / "x.csv")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestAnalysisConfig:

@@ -144,6 +144,17 @@ class TestSimulateChain:
         with pytest.raises(ValueError):
             simulate_chain([1.0, 0.0], np.eye(2), 1, Seed(0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_distributions_rejected(self, bad):
+        # NaN passes `< 0` and the normalization check; bisect would then
+        # draw from an unsorted list
+        with pytest.raises(InvalidDistributionError, match="dos0 must be finite"):
+            simulate_chain([bad, 0.5, 0.25, 0.25], np.eye(4), 10, Seed(0))
+        transition = np.eye(4)
+        transition[2] = [0.5, bad, 0.25, 0.25]
+        with pytest.raises(InvalidDistributionError, match="transition row 2"):
+            simulate_chain([0.25] * 4, transition, 10, Seed(0))
+
     def test_iid_uniform_occupancy_concentrates(self):
         uniform = np.full((4, 4), 0.25)
         traj = simulate_chain([0.25] * 4, uniform, 1_000_000, Seed(314))
@@ -177,7 +188,9 @@ class TestCycleTransition:
             cycle_transition(3, (0, 1, 2), 0.5, 0.25), RING_TRANSITION
         )
 
-    @pytest.mark.parametrize("forward, backward", [(0.9, 0.5), (-0.1, 0.2)])
+    @pytest.mark.parametrize(
+        "forward, backward", [(0.9, 0.5), (-0.1, 0.2), (np.nan, 0.2), (0.5, np.nan)]
+    )
     def test_bad_drive_raises(self, forward, backward):
         with pytest.raises(InvalidDistributionError, match="forward"):
             cycle_transition(4, (0, 2, 3, 1), forward, backward)
@@ -319,6 +332,10 @@ class TestDosBaseline:
     def test_invalid_dos(self):
         with pytest.raises(InvalidDistributionError):
             dos_baseline([0.5, 0.2, 0.2, 0.2], 100, 10, SKIP, Seed(0))
+
+    def test_nan_dos_rejected(self):
+        with pytest.raises(InvalidDistributionError, match="dos must be finite"):
+            dos_baseline([np.nan, 0.5, 0.25, 0.25], 100, 10, SKIP, Seed(0))
 
     def test_parameter_floors(self):
         with pytest.raises(ValueError):

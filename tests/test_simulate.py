@@ -1,0 +1,210 @@
+"""Record-file generation against the per-step and per-row loops it replaced:
+simulate_chain's bisect walk and write_csv's batched writer."""
+
+from __future__ import annotations
+
+import csv
+import tracemalloc
+from bisect import bisect_right
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import chainflux.dataio as dataio
+from chainflux import (
+    Seed,
+    StateSpace,
+    Trajectory,
+    TreatmentDataset,
+    simulate_chain,
+    square_2x2,
+    write_csv,
+)
+from chainflux.core import is_square_2x2
+
+STATE_HEADER = ["treatment_id", "session_id", "round", "state"]
+ACTION_HEADER = ["treatment_id", "session_id", "round", "row_action", "col_action"]
+
+
+def loop_simulate_chain(dos0, transition, n: int, seed: Seed) -> np.ndarray:
+    """Reference sampler, one numpy store per step:
+    s_{t+1} = min(bisect_right(cumsum(transition[s_t]), u_{t+1}), r - 1)."""
+    dos0 = np.asarray(dos0, dtype=float)
+    transition = np.asarray(transition, dtype=float)
+    r = dos0.size
+    u = seed.generator().random(n)
+    cum0 = np.cumsum(dos0).tolist()
+    cum_rows = [row.tolist() for row in np.cumsum(transition, axis=1)]
+    last = r - 1
+    states = np.empty(n, dtype=np.int64)
+    s = min(bisect_right(cum0, u[0]), last)
+    states[0] = s
+    for t in range(1, n):
+        s = min(bisect_right(cum_rows[s], u[t]), last)
+        states[t] = s
+    return states
+
+
+def loop_write_csv(datasets, path, encoding: str = "state") -> None:
+    """Reference writer, one csv.writer.writerow call per record."""
+    actions = encoding == "actions"
+    if actions and not all(is_square_2x2(data.space) for data in datasets):
+        raise ValueError("action encoding requires the 4-state square convention")
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(ACTION_HEADER if actions else STATE_HEADER)
+        for data in datasets:
+            for traj in data.sessions:
+                for rnd, s in enumerate(traj.states, start=1):
+                    s = int(s)
+                    if actions:
+                        writer.writerow(
+                            [data.treatment_id, traj.session_id, rnd, s // 2, s % 2]
+                        )
+                    else:
+                        writer.writerow([data.treatment_id, traj.session_id, rnd, s])
+
+
+def space_of(r: int) -> StateSpace:
+    return StateSpace(tuple(f"x{i}" for i in range(r)), np.arange(r, dtype=float))
+
+
+# ---------------------------------------------------------------------------
+# simulate_chain
+# ---------------------------------------------------------------------------
+
+
+def random_chain(rng: np.random.Generator, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """dos0 and a transition matrix with zero-probability entries, including
+    zeros in the last column so that rows reach 1 before their end."""
+    raw = rng.random((r, r)) * (rng.random((r, r)) < 0.5)
+    raw[np.arange(r), rng.integers(0, r, r)] += rng.random(r) + 0.01
+    if r > 2:
+        raw[rng.random(r) < 0.3, -1] = 0.0
+        raw[raw.sum(axis=1) == 0, 0] = 1.0
+    transition = raw / raw.sum(axis=1, keepdims=True)
+    dos0 = rng.random(r) * (rng.random(r) < 0.4)
+    dos0[rng.integers(0, r)] += 0.5
+    return dos0 / dos0.sum(), transition
+
+
+@pytest.mark.parametrize("case", range(60))
+def test_simulate_chain_matches_loop(case):
+    rng = np.random.default_rng(9000 + case)
+    r = (2, 3, 4, 300)[case] if case < 4 else int(rng.integers(2, 301))
+    dos0, transition = random_chain(rng, r)
+    n = int(rng.integers(2, 4000))
+    seed = Seed(int(rng.integers(0, 2**63)))
+    traj = simulate_chain(dos0, transition, n, seed)
+    reference = loop_simulate_chain(dos0, transition, n, seed)
+    assert traj.states.dtype == np.int64
+    assert np.array_equal(traj.states, reference)
+
+
+def test_simulate_chain_point_masses_match_loop():
+    # rows that put all mass on the first or the last state
+    r = 5
+    transition = np.zeros((r, r))
+    transition[::2, -1] = 1.0
+    transition[1::2, 0] = 1.0
+    for dos0 in ([1.0, 0, 0, 0, 0], [0, 0, 0, 0, 1.0]):
+        traj = simulate_chain(dos0, transition, 50, Seed(12))
+        reference = loop_simulate_chain(dos0, transition, 50, Seed(12))
+        assert np.array_equal(traj.states, reference)
+
+
+# ---------------------------------------------------------------------------
+# write_csv
+# ---------------------------------------------------------------------------
+
+ID_ALPHABET = st.one_of(
+    st.sampled_from([",", '"', "\r", "\n", " ", "é", "中", " ", "a", "1"]),
+    st.characters(blacklist_categories=("Cs",)),
+)
+ids = st.text(ID_ALPHABET, max_size=6)
+session_lengths = st.one_of(
+    st.sampled_from([0, 1, 2, 8, 9, 10, 98, 99, 100, 101, 998, 999, 1000, 1001]),
+    st.integers(0, 1200),
+)
+
+
+@st.composite
+def record_sets(draw):
+    """(datasets, encoding): any number of treatments with any ids, unequal
+    session lengths, and up to 300 states (4 for the action encoding)."""
+    encoding = draw(st.sampled_from(["state", "actions"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    datasets = []
+    for _ in range(draw(st.integers(0, 3))):
+        if encoding == "actions":
+            space = square_2x2()
+        else:
+            space = space_of(draw(st.sampled_from([2, 4, 9, 10, 11, 100, 300])))
+        sessions = tuple(
+            Trajectory(draw(ids), rng.integers(0, space.size, draw(session_lengths)))
+            for _ in range(draw(st.integers(0, 3)))
+        )
+        datasets.append(TreatmentDataset(draw(ids), space, sessions))
+    return datasets, encoding
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    records=record_sets(),
+    batch_rows=st.sampled_from([1, 2, 7, 64, dataio._WRITE_BATCH_ROWS]),
+)
+def test_generated_records_byte_identical_to_loop(tmp_path_factory, records, batch_rows):
+    datasets, encoding = records
+    folder = tmp_path_factory.mktemp("write")
+    with mock.patch.object(dataio, "_WRITE_BATCH_ROWS", batch_rows):
+        write_csv(datasets, folder / "new.csv", encoding=encoding)
+    loop_write_csv(datasets, folder / "old.csv", encoding=encoding)
+    assert (folder / "new.csv").read_bytes() == (folder / "old.csv").read_bytes()
+    assert sorted(p.name for p in folder.iterdir()) == ["new.csv", "old.csv"]
+
+
+@pytest.mark.parametrize("encoding", ["state", "actions"])
+def test_sessions_across_the_batch_boundary_byte_identical(tmp_path, encoding):
+    batch = dataio._WRITE_BATCH_ROWS
+    rng = np.random.default_rng(5)
+    sessions = tuple(
+        Trajectory(f"s{n}", rng.integers(0, 4, n))
+        for n in (batch - 1, batch, batch + 1, 2 * batch + 3, 5)
+    )
+    datasets = [TreatmentDataset('t,"1"', square_2x2(), sessions)]
+    write_csv(datasets, tmp_path / "new.csv", encoding=encoding)
+    loop_write_csv(datasets, tmp_path / "old.csv", encoding=encoding)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_empty_dataset_list_writes_the_header(tmp_path):
+    write_csv([], tmp_path / "s.csv")
+    write_csv([], tmp_path / "a.csv", encoding="actions")
+    assert (tmp_path / "s.csv").read_bytes() == b"treatment_id,session_id,round,state\r\n"
+    assert (tmp_path / "a.csv").read_bytes() == (
+        b"treatment_id,session_id,round,row_action,col_action\r\n"
+    )
+
+
+def _write_peak_bytes(tmp_path, n: int) -> int:
+    states = np.random.default_rng(1).integers(0, 4, n)
+    datasets = [TreatmentDataset("t", square_2x2(), (Trajectory("s", states),))]
+    tracemalloc.start()
+    try:
+        write_csv(datasets, tmp_path / f"{n}.csv", encoding="actions")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_does_not_grow_with_session_length(tmp_path):
+    batch = dataio._WRITE_BATCH_ROWS
+    short = _write_peak_bytes(tmp_path, 2 * batch)
+    long = _write_peak_bytes(tmp_path, 6 * batch)
+    # a whole-session join would hold about three times as much at 6 batches
+    assert long < 1.25 * short
