@@ -308,10 +308,12 @@ def _cycle_across(entries: list[dict]) -> tuple[dict, dict, dict]:
 def run_cycle_test(config: AnalysisConfig) -> dict:
     """Detect persistent cycling: empirical EPR against the i.i.d.-DOS
     finite-sample baseline, per treatment."""
-    if config.alpha < 1.0 / (config.mc_reps + 1):
+    # detection is mc_p < alpha and mc_p >= 1/(reps+1)
+    if config.alpha <= 1.0 / (config.mc_reps + 1):
         _progress(
-            f"warning: alpha={config.alpha} is below the smallest achievable "
-            f"Monte-Carlo p-value 1/(reps+1)={1.0 / (config.mc_reps + 1):.2e}; "
+            f"warning: alpha={config.alpha} is at or below the smallest "
+            f"achievable Monte-Carlo p-value "
+            f"1/(reps+1)={1.0 / (config.mc_reps + 1):.2e}; "
             f"detection can never fire at these reps"
         )
     return _run(config, "cycle-test", _cycle_treatment, _cycle_across)

@@ -25,10 +25,17 @@ class OneSidedZeroFluxError(ChainfluxError):
 
     def __init__(self, i: int, j: int, forward: float, backward: float):
         self.pair = (i, j)
+        self.forward = forward
+        self.backward = backward
         super().__init__(
             f"one-sided zero flux on state pair ({i}, {j}): "
             f"forward={forward!r}, backward={backward!r}"
         )
+
+    def __reduce__(self):
+        # args holds only the message; rebuild from the four arguments so
+        # the error survives the trip back from a worker process
+        return type(self), (*self.pair, self.forward, self.backward)
 
 
 class InvalidDistributionError(ChainfluxError):

@@ -7,9 +7,13 @@ of any run draws from a counter-based stream derived only from (root seed,
 k), so results are identical under any execution order, chunking, or number
 of worker processes.
 
-Replicates are evaluated in blocks: one (B, n) array of uniforms, one
-offset bincount for the occupancy and pair counts of all B replicates, and
-the batched observables. A block holds at most _BLOCK_DRAWS uniforms.
+Replicates are drawn in blocks: one (B, n) array of at most _BLOCK_DRAWS
+uniforms, mapped to states, and one offset bincount of the pair codes of
+all B replicates. Occupancy is taken from that bincount's row sums plus
+each session's last state. States and pair codes are held in the narrowest
+integer type that fits them. The counts of consecutive blocks are gathered
+in groups of up to _GROUP_CELLS pair counts, and each group's chains and
+observables are evaluated in one batched call.
 
 A uniform u maps to the state that counts the cumulative-probability cuts
 at or below it (_cuts). The nulls compare whole blocks against the cuts;
@@ -54,6 +58,9 @@ _MASK64 = (1 << 64) - 1
 _NORM_TOL = 1e-9
 # Uniform draws per replicate block; larger blocks only cost memory.
 _BLOCK_DRAWS = 2**15
+# Pair counts per evaluation group: enough replicates to amortize the fixed
+# cost of evaluating chains when blocks are small, little enough memory.
+_GROUP_CELLS = 2**12
 
 
 def _splitmix64(z: int) -> int:
@@ -226,9 +233,9 @@ def simulate_chain(
 
 
 def _vnm_states(u: np.ndarray, p: float, q: float) -> np.ndarray:
-    """Joint states 2*row_action + col_action from uniforms of shape
+    """Joint uint8 states 2*row_action + col_action from uniforms of shape
     (..., 2, rounds): the row player's draws come before the column's."""
-    return 2 * (u[..., 0, :] < p) + (u[..., 1, :] < q)
+    return (u[..., 0, :] < p) * np.uint8(2) + (u[..., 1, :] < q)
 
 
 def simulate_vnm(
@@ -262,11 +269,6 @@ def simulate_vnm(
     )
 
 
-def _blocks(lo: int, hi: int, draws_per_replicate: int) -> list[tuple[int, int]]:
-    size = max(1, _BLOCK_DRAWS // draws_per_replicate)
-    return [(k, min(k + size, hi)) for k in range(lo, hi, size)]
-
-
 def _uniforms(seed: Seed):
     """uniforms(lo, hi, n): row k - lo holds the first n uniforms of
     replicate k's stream, seed.split(k).generator().
@@ -291,21 +293,54 @@ def _uniforms(seed: Seed):
     return uniforms
 
 
-def _block_chains(states: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """(dos, flux) of B replicates from states of shape (B, sessions, rounds).
+def _block_counts(states: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """(occupancy, pair counts) of B replicates from states of shape
+    (B, sessions, rounds).
 
-    One offset bincount over the block gives every replicate's occupancy,
-    another its within-session pair counts.
+    One offset bincount of the pair codes s_t*r + s_{t+1} gives every
+    replicate's within-session pair counts; a state's occupancy is its row
+    sum of those counts plus the sessions that end in it. The codes are
+    computed in the narrowest unsigned type that holds B*r*r.
     """
     b = states.shape[0]
-    offset = np.arange(b)[:, None, None]
-    occupancy = np.bincount(
-        (states + offset * r).ravel(), minlength=b * r
+    size = b * r * r
+    code_type = np.uint8 if size <= 2**8 else np.uint16 if size <= 2**16 else np.int64
+    codes = np.multiply(states[:, :, :-1], r, dtype=code_type)
+    codes += states[:, :, 1:]
+    if b > 1:
+        codes += np.arange(0, size, r * r, dtype=code_type)[:, None, None]
+    counts = np.bincount(codes.ravel(), minlength=size).reshape(b, r, r)
+    last = states[:, :, -1] + np.arange(0, b * r, r)[:, None]
+    occupancy = counts.sum(axis=-1) + np.bincount(
+        last.ravel(), minlength=b * r
     ).reshape(b, r)
-    codes = states[:, :, :-1] * r + states[:, :, 1:] + offset * (r * r)
-    counts = np.bincount(codes.ravel(), minlength=b * r * r).reshape(b, r, r)
-    dos, transition = chain_from_counts(occupancy, counts)
-    return dos, dos[:, :, None] * transition
+    return occupancy, counts
+
+
+def _replicate_chains(lo: int, hi: int, r: int, draws: int, block_states):
+    """Yield (rows, dos, flux) for consecutive groups of the replicates
+    [lo, hi): rows slices the group out of an array over [lo, hi), and
+    dos and flux have shapes (G, r) and (G, r, r).
+
+    block_states(start, stop) returns the states of one draw block of at
+    most _BLOCK_DRAWS uniforms, shape (B, sessions, rounds). A group gathers
+    the counts of whole blocks, up to _GROUP_CELLS pair counts, so that
+    chains and observables are evaluated once per group, not once per block.
+    """
+    block = max(1, _BLOCK_DRAWS // draws)
+    group = block * max(1, _GROUP_CELLS // (block * r * r))
+    for group_lo in range(lo, hi, group):
+        group_hi = min(group_lo + group, hi)
+        occupancy = np.empty((group_hi - group_lo, r), dtype=np.int64)
+        counts = np.empty((group_hi - group_lo, r, r), dtype=np.int64)
+        for start in range(group_lo, group_hi, block):
+            stop = min(start + block, group_hi)
+            rows = slice(start - group_lo, stop - group_lo)
+            occupancy[rows], counts[rows] = _block_counts(
+                block_states(start, stop), r
+            )
+        dos, transition = chain_from_counts(occupancy, counts)
+        yield slice(group_lo - lo, group_hi - lo), dos, dos[:, :, None] * transition
 
 
 def _vnm_chunk(
@@ -317,15 +352,17 @@ def _vnm_chunk(
 ) -> tuple[np.ndarray, np.ndarray]:
     shape = (params.sessions, 2, params.rounds_per_session)
     draws = 2 * params.sessions * params.rounds_per_session
+    uniforms = _uniforms(seed)
+
+    def block_states(start: int, stop: int) -> np.ndarray:
+        u = uniforms(start, stop, draws).reshape(-1, *shape)
+        return _vnm_states(u, params.p, params.q)
+
     ent = np.empty(hi - lo)
     pro = np.empty(hi - lo)
-    uniforms = _uniforms(seed)
-    for start, stop in _blocks(lo, hi, draws):
-        u = uniforms(start, stop, draws).reshape(-1, *shape)
-        states = _vnm_states(u, params.p, params.q)
-        dos, flux = _block_chains(states, 4)
-        ent[start - lo : stop - lo] = entropy_batch(dos)
-        pro[start - lo : stop - lo], _ = epr_batch(flux, policy)
+    for rows, dos, flux in _replicate_chains(lo, hi, 4, draws, block_states):
+        ent[rows] = entropy_batch(dos)
+        pro[rows], _ = epr_batch(flux, policy)
     return ent, pro
 
 
@@ -338,15 +375,19 @@ def _dos_chunk(
     hi: int,
 ) -> np.ndarray:
     cuts = _cuts(dos)
-    out = np.empty(hi - lo)
+    state_type = np.uint8 if dos.size <= 2**8 else np.int64
     uniforms = _uniforms(seed)
-    for start, stop in _blocks(lo, hi, n_rounds):
+
+    def block_states(start: int, stop: int) -> np.ndarray:
         u = uniforms(start, stop, n_rounds)
-        states = np.zeros(u.shape, dtype=np.int64)
+        states = np.zeros(u.shape, dtype=state_type)
         for cut in cuts:
             states += u >= cut
-        _, flux = _block_chains(states[:, None, :], dos.size)
-        out[start - lo : stop - lo], _ = epr_batch(flux, policy)
+        return states[:, None, :]
+
+    out = np.empty(hi - lo)
+    for rows, _, flux in _replicate_chains(lo, hi, dos.size, n_rounds, block_states):
+        out[rows], _ = epr_batch(flux, policy)
     return out
 
 

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from chainflux import nullmodels
 from chainflux.cli import main
 from conftest import RING_EPR, fill_disk
 
@@ -311,16 +312,39 @@ class TestCycleTest:
         assert code == 0
         assert summary["treatments"] == 1
 
-    def test_unreachable_alpha_warns(self, capsys, tmp_path):
+    # detection is mc_p < alpha, so alpha == 1/(reps+1) is unreachable too
+    @pytest.mark.parametrize("reps", ["100", "999"], ids=["below", "at"])
+    def test_unreachable_alpha_warns(self, capsys, tmp_path, reps):
         data = simulate(capsys, tmp_path, "d.csv", "--model", "vnm",
                         "--rounds", "60")
         code, _, err = run_cli(
             capsys, "cycle-test", "--input", str(data),
-            "--output", str(tmp_path / "r.json"), "--reps", "100",
+            "--output", str(tmp_path / "r.json"), "--reps", reps,
             "--alpha", "0.001", "--seed", "1",
         )
         assert code == 0
         assert "warning" in err
+
+    def test_strict_null_error_same_with_worker_processes(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # the i.i.d. null of a 60-round cycle has one-sided zero fluxes; the
+        # error raised in a worker must reach the CLI as it does in-process
+        monkeypatch.setattr(nullmodels, "_usable_cpus", lambda: 2)
+        data = simulate(capsys, tmp_path, "c.csv", "--model", "square-cycle",
+                        "--rounds", "60", "--seed", "1")
+        runs = [
+            run_cli(
+                capsys, "cycle-test", "--input", str(data),
+                "--output", str(tmp_path / "r.json"), "--reps", "200",
+                "--zero-flux-policy", "strict", "--workers", workers,
+            )
+            for workers in ("1", "2")
+        ]
+        (code1, _, err1), (code2, _, err2) = runs
+        assert code1 == code2 == 1
+        assert "error: one-sided zero flux on state pair" in err1
+        assert err2 == err1
 
 
 class TestMinimaxTest:

@@ -53,6 +53,13 @@ def loop_dos_baseline(dos, n_rounds, reps, policy, seed):
     return np.array(samples)
 
 
+def _sparse_dos(r):
+    """r-state DOS with weights 0, 1, 2, 0, 1, 2, ...: every third state,
+    from state 0 on, has zero probability."""
+    w = (np.arange(r) % 3).astype(float)
+    return w / w.sum()
+
+
 def loop_vnm_null(params, reps, policy, seed):
     """Reference independent-play null, one replicate at a time: each session
     draws its row actions, then its column actions, from seed.split(k)."""
@@ -361,6 +368,20 @@ class TestBlockKernelMatchesLoop:
             ([0.5, 0.5, 0.0, 0.0], 50, 30),
             # 170 replicates per block at 192 records: three blocks
             ([0.1, 0.2, 0.3, 0.4], 192, 400),
+            # pair-code widths: B*r*r = 256 (uint8) and 289 (uint16) at B = 1
+            (_sparse_dos(16), 20000, 3),
+            (_sparse_dos(17), 20000, 3),
+            # uint8 states with uint16 codes, then int64 states and codes
+            (_sparse_dos(256), 20000, 3),
+            (_sparse_dos(257), 20000, 3),
+            # per-replicate offsets: B*r*r = 256 at B = 16 (uint8), B = 2
+            # (uint16), B = 32 and B = 819 (int64)
+            (_sparse_dos(4), 2048, 40),
+            (_sparse_dos(16), 16384, 4),
+            (_sparse_dos(300), 1000, 40),
+            (_sparse_dos(16), 40, 900),
+            # evaluation groups of 42 six-replicate blocks: 252, 252, 96
+            (_sparse_dos(4), 5000, 600),
         ],
     )
     def test_dos_baseline_bit_identical(self, dos, n_rounds, reps, policy):
@@ -377,6 +398,8 @@ class TestBlockKernelMatchesLoop:
             (0.3, 0.8, 1, 150, 30),
             (0.6, 0.4, 3, 2, 30),
             (1.0, 0.0, 2, 5, 10),
+            # evaluation groups of three 85-replicate blocks: 255, 255, 90
+            (0.4, 0.7, 16, 12, 600),
         ],
     )
     def test_vnm_null_bit_identical(self, p, q, sessions, rounds, reps, policy):

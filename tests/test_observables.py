@@ -8,6 +8,7 @@ implementation is only trusted where it agrees with this oracle.
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -136,6 +137,16 @@ class TestEpr:
             epr(est, ZeroFluxPolicy.strict())
         i, j = exc.value.pair
         assert 0 <= i < j < 4
+
+    def test_strict_error_survives_pickling(self):
+        # worker processes send their errors back pickled
+        est = square_cycle_estimate(forward=1.0)
+        with pytest.raises(OneSidedZeroFluxError) as exc:
+            epr(est, ZeroFluxPolicy.strict())
+        copy = pickle.loads(pickle.dumps(exc.value))
+        assert type(copy) is OneSidedZeroFluxError
+        assert copy.pair == exc.value.pair
+        assert str(copy) == str(exc.value)
 
     def test_deterministic_cycle_smooth_is_positive(self):
         est = square_cycle_estimate(forward=1.0)
