@@ -9,6 +9,7 @@ line. Exit codes: 0 success, 1 data/config error, 2 internal error.
 from __future__ import annotations
 
 import json
+import os
 import sys
 
 import click
@@ -101,6 +102,30 @@ def _make_config(
         alpha=alpha,
         workers=workers,
         reproducible=reproducible,
+    )
+
+
+def _check_fits_memory(flags: str, nbytes: int, what: str) -> None:
+    """Reject a request whose arrays alone exceed physical memory. The size
+    is computed, not allocated, so the check holds under any overcommit
+    setting."""
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf: cannot tell
+        return
+    if nbytes > physical:
+        raise ConfigError(
+            f"{flags} asks for {nbytes / 2**30:,.1f} GiB of {what}, more than "
+            f"the {physical / 2**30:,.1f} GiB of physical memory"
+        )
+
+
+def _check_null_fits_memory(config: AnalysisConfig, observables: int) -> None:
+    # each observable's float64 samples, per chunk and once concatenated
+    _check_fits_memory(
+        f"--reps {config.mc_reps}",
+        2 * 8 * observables * config.mc_reps,
+        "Monte-Carlo samples",
     )
 
 
@@ -265,6 +290,7 @@ def run_minimax(config: AnalysisConfig) -> dict:
             "minimax-test needs the 4-state square space "
             "(index = 2*row_action + col_action)"
         )
+    _check_null_fits_memory(config, observables=2)
     return _run(config, "minimax-test", _minimax_treatment, _minimax_across)
 
 
@@ -308,6 +334,7 @@ def _cycle_across(entries: list[dict]) -> tuple[dict, dict, dict]:
 def run_cycle_test(config: AnalysisConfig) -> dict:
     """Detect persistent cycling: empirical EPR against the i.i.d.-DOS
     finite-sample baseline, per treatment."""
+    _check_null_fits_memory(config, observables=1)
     # detection is mc_p < alpha and mc_p >= 1/(reps+1)
     if config.alpha <= 1.0 / (config.mc_reps + 1):
         _progress(
@@ -386,8 +413,6 @@ def _simulate_datasets(
             return vec, np.tile(vec, (r, 1))
         raise ConfigError(f"unknown model {model!r}")
 
-    if model == "square-cycle" and drive_sweep:
-        treatments = len(drive_sweep)
     datasets = []
     for t in range(treatments):
         tid = f"T{t + 1:02d}"
@@ -521,6 +546,14 @@ def _simulate_cmd(
             sweep = [float(x) for x in drive_sweep.split(",") if x.strip()]
         except ValueError as exc:
             raise ConfigError(f"bad --drive-sweep: {exc}") from exc
+    if model == "square-cycle" and sweep:
+        treatments = len(sweep)
+    # every dataset is held until the write, one int64 per state
+    _check_fits_memory(
+        f"{treatments} treatment(s) x --sessions {sessions} x --rounds {rounds}",
+        8 * treatments * sessions * rounds,
+        "states",
+    )
     dos_vec = None
     if dos is not None:
         try:

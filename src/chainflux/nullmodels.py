@@ -7,6 +7,12 @@ of any run draws from a counter-based stream derived only from (root seed,
 k), so results are identical under any execution order, chunking, or number
 of worker processes.
 
+Replicate k of seed s draws from Philox keyed by s.split(k).root. The keys
+of up to _KEYS_PER_PASS consecutive replicates come from one uint64
+splitmix64 pass over their indices, bit-equal to Seed.split, and one Philox
+is re-keyed to each in turn; Seed.split and Seed.generator stay the
+definition of the stream.
+
 Replicates are drawn in blocks: one (B, n) array of at most _BLOCK_DRAWS
 uniforms, mapped to states, and one offset bincount of the pair codes of
 all B replicates. Occupancy is taken from that bincount's row sums plus
@@ -27,7 +33,6 @@ from __future__ import annotations
 import itertools
 import os
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,14 +66,38 @@ _BLOCK_DRAWS = 2**15
 # Pair counts per evaluation group: enough replicates to amortize the fixed
 # cost of evaluating chains when blocks are small, little enough memory.
 _GROUP_CELLS = 2**12
+# Replicate keys per splitmix64 pass: enough to amortize the fixed cost of
+# the pass's numpy calls when each block holds one long replicate.
+_KEYS_PER_PASS = 2**9
+# splitmix64 constants
+_GAMMA = 0x9E3779B97F4A7C15
+_MUL1 = 0xBF58476D1CE4E5B9
+_MUL2 = 0x94D049BB133111EB
 
 
 def _splitmix64(z: int) -> int:
     """splitmix64 finalizer: the counter-to-stream mixing function."""
-    z = (z + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = (z + _GAMMA) & _MASK64
+    z = ((z ^ (z >> 30)) * _MUL1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MUL2) & _MASK64
     return z ^ (z >> 31)
+
+
+def _splitmix64_array(z: np.ndarray) -> np.ndarray:
+    """_splitmix64 of every element of a uint64 array. The arithmetic wraps
+    modulo 2**64 like the masked version; every operand is np.uint64, so
+    nothing is promoted to float64."""
+    z = z + np.uint64(_GAMMA)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MUL1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MUL2)
+    return z ^ (z >> np.uint64(31))
+
+
+def _split_roots(root: int, lo: int, hi: int) -> np.ndarray:
+    """Seed(root).split(k).root for every k in [lo, hi), in one pass. Like
+    the masked version, k and k + 2**64 give the same root."""
+    k = np.arange(hi - lo, dtype=np.uint64) + np.uint64(lo)
+    return _splitmix64_array(_splitmix64_array(k) ^ np.uint64(root))
 
 
 @dataclass(frozen=True)
@@ -273,19 +302,33 @@ def _uniforms(seed: Seed):
     """uniforms(lo, hi, n): row k - lo holds the first n uniforms of
     replicate k's stream, seed.split(k).generator().
 
-    One Philox serves every call: it is re-keyed per replicate through its
-    state setter, which gives the same stream without the OS-entropy draw
-    that constructing a bit generator makes. Roots are 64-bit, so Philox's
-    128-bit key is [root, 0].
+    Replicate keys, seed.split(k).root, come from vectorized splitmix64
+    passes (_split_roots). Each pass covers as many calls of the current
+    size as fit in _KEYS_PER_PASS replicates, so the pass's fixed cost is
+    shared even when a block holds a single long replicate. One Philox
+    serves every call: it is re-keyed per replicate through its state
+    setter, which gives the same stream without the OS-entropy draw that
+    constructing a bit generator makes. The state dict holds plain lists,
+    which the setter reads faster than arrays. Roots are 64-bit, so
+    Philox's 128-bit key is [root, 0]; counter, buffer and buffer position
+    are those of a fresh generator.
     """
     bitgen = np.random.Philox(key=0)
     state = bitgen.state
+    state["state"] = {name: a.tolist() for name, a in state["state"].items()}
+    state["buffer"] = state["buffer"].tolist()
+    key = state["state"]["key"]
     gen = np.random.Generator(bitgen)
+    keys_lo, keys = 0, []
 
     def uniforms(lo: int, hi: int, n: int) -> np.ndarray:
+        nonlocal keys_lo, keys
+        if lo < keys_lo or hi > keys_lo + len(keys):
+            size = (hi - lo) * max(1, _KEYS_PER_PASS // (hi - lo))
+            keys_lo, keys = lo, _split_roots(seed.root, lo, lo + size).tolist()
         u = np.empty((hi - lo, n))
-        for row, k in enumerate(range(lo, hi)):
-            state["state"]["key"][0] = seed.split(k).root
+        for row, root in enumerate(keys[lo - keys_lo : hi - keys_lo]):
+            key[0] = root
             bitgen.state = state
             gen.random(out=u[row])
         return u
@@ -409,6 +452,10 @@ def _run_chunks(fn, common_args: tuple, reps: int, workers: int) -> list:
     ranges = _chunk_ranges(reps, workers)
     if workers <= 1 or len(ranges) == 1:
         return [fn(*common_args, lo, hi) for lo, hi in ranges]
+    # imported here: multiprocessing costs every command start-up time and
+    # memory, and most runs never start a pool
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(workers, len(ranges))) as pool:
         futures = [pool.submit(fn, *common_args, lo, hi) for lo, hi in ranges]
         return [f.result() for f in futures]

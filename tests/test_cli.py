@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import re
 
 import numpy as np
 import pytest
@@ -522,6 +524,57 @@ class TestExitCodesAndDeterminism:
             f"error: cannot write report to {out}: "
             f"no such directory {out.parent}\n"
         )
+
+    @pytest.mark.parametrize("command", ["cycle-test", "minimax-test"])
+    def test_unallocatable_reps_exit_1_before_loading(self, capsys, tmp_path, command):
+        out = tmp_path / "r.json"
+        code, summary, err = run_cli(
+            capsys, command, "--input", str(tmp_path / "missing.csv"),
+            "--output", str(out), "--reps", "10000000000000",
+        )
+        assert code == 1
+        assert summary is None
+        assert re.fullmatch(
+            r"error: --reps 10000000000000 asks for [\d,]+\.\d GiB of "
+            r"Monte-Carlo samples, more than the [\d,]+\.\d GiB of physical "
+            r"memory\n",
+            err,
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["square-cycle", "vnm", "ring", "iid"])
+    def test_unallocatable_rounds_exit_1_before_drawing(self, capsys, tmp_path, model):
+        out = tmp_path / "x.csv"
+        code, summary, err = run_cli(
+            capsys, "simulate", "--model", model, "--dos", "0.25,0.25,0.25,0.25",
+            "--output", str(out), "--rounds", "10000000000000",
+        )
+        assert code == 1
+        assert summary is None
+        assert re.fullmatch(
+            r"error: 1 treatment\(s\) x --sessions 1 x --rounds 10000000000000 "
+            r"asks for [\d,]+\.\d GiB of states, more than the [\d,]+\.\d GiB "
+            r"of physical memory\n",
+            err,
+        )
+        assert not out.exists()
+
+    def test_memory_check_counts_states_not_allocations(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # 3 treatments x 2 sessions x 10 rounds = 60 int64 states = 480 B
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 480}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        args = ("--model", "square-cycle", "--drive-sweep", "0.5,0.6,0.7",
+                "--sessions", "2", "--rounds", "10")
+        out = tmp_path / "x.csv"
+        code, _, _ = run_cli(capsys, "simulate", "--output", str(out), *args)
+        assert code == 0 and out.exists()
+        pages["SC_PHYS_PAGES"] = 479
+        out = tmp_path / "y.csv"
+        code, _, err = run_cli(capsys, "simulate", "--output", str(out), *args)
+        assert code == 1 and not out.exists()
+        assert err.startswith("error: 3 treatment(s) x --sessions 2 x --rounds 10 ")
 
     def test_output_that_is_a_directory_exit_1(self, capsys, tmp_path):
         data = tmp_path / "d.csv"

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import os
+import subprocess
+import sys
+import warnings
 from concurrent.futures import Future
 
 import numpy as np
@@ -120,6 +124,55 @@ class TestSeed:
                     for k in range(lo, hi)
                 ]
                 assert np.array_equal(fast, np.array(slow))
+
+    @pytest.mark.parametrize("root", [0, 1 << 63, (1 << 64) - 1, 0x5DEECE66D])
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(0, 40), (7, 9), ((1 << 32) - 3, (1 << 32) + 4), (1 << 40, (1 << 40) + 2),
+         ((1 << 64) - 5, (1 << 64) - 1)],
+    )
+    def test_block_roots_match_split(self, root, lo, hi):
+        """One vectorized splitmix64 pass gives every Seed.split(k).root,
+        with uint64 wraparound and no RuntimeWarning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            roots = nullmodels._split_roots(root, lo, hi)
+        assert roots.dtype == np.uint64
+        assert roots.tolist() == [Seed(root).split(k).root for k in range(lo, hi)]
+
+    @pytest.mark.parametrize("root", [0, 1 << 63, (1 << 64) - 1])
+    @pytest.mark.parametrize("lo, width", [((1 << 32) + 5, 3), ((1 << 64) - 600, 1)])
+    def test_uniforms_in_consecutive_blocks(self, root, lo, width):
+        """Consecutive blocks share key passes and cross from one pass into
+        the next, up to the last 64-bit replicate index, with no
+        RuntimeWarning from uint64 wraparound."""
+        uniforms = nullmodels._uniforms(Seed(root))
+        starts = range(lo, lo + 600 - width + 1, width)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fast = np.concatenate([uniforms(k, k + width, 5) for k in starts])
+        slow = [
+            Seed(root).split(k).generator().random(5)
+            for k in range(starts[0], starts[-1] + width)
+        ]
+        assert np.array_equal(fast, np.array(slow))
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    """multiprocessing is imported only when a pool starts."""
+    probe = (
+        "import sys, chainflux.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
+        "if m in sys.modules))"
+    )
+    # the child imports the same chainflux as this test
+    src = os.path.dirname(os.path.dirname(nullmodels.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestSimulateChain:
@@ -484,7 +537,9 @@ class TestPoolSize:
     @pytest.fixture
     def pool(self, monkeypatch):
         monkeypatch.setattr(_RecordingPool, "sizes", [])
-        monkeypatch.setattr(nullmodels, "ProcessPoolExecutor", _RecordingPool)
+        # _run_chunks imports the pool class from concurrent.futures only
+        # when it starts a pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
         return _RecordingPool
 
     def test_capped_at_usable_cpus(self, pool, monkeypatch):
