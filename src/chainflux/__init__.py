@@ -28,6 +28,8 @@ from .nullmodels import (
     cycle_transition,
     dos_baseline,
     simulate_chain,
+    simulate_sessions,
+    simulate_sessions_bytes,
     simulate_vnm,
     vnm_null_distribution,
 )
@@ -77,6 +79,8 @@ __all__ = [
     "BaselineDistribution",
     "cycle_transition",
     "simulate_chain",
+    "simulate_sessions",
+    "simulate_sessions_bytes",
     "simulate_vnm",
     "vnm_null_distribution",
     "dos_baseline",

@@ -19,6 +19,7 @@ from . import __version__
 from .core import (
     MarkovEstimate,
     StateSpace,
+    Trajectory,
     TreatmentDataset,
     estimate_markov,
     is_square_2x2,
@@ -43,7 +44,8 @@ from .nullmodels import (
     VnmParams,
     cycle_transition,
     dos_baseline,
-    simulate_chain,
+    simulate_sessions,
+    simulate_sessions_bytes,
     simulate_vnm,
     vnm_null_distribution,
 )
@@ -390,10 +392,15 @@ def _simulate_datasets(
     backward: float,
     drive_sweep: list[float] | None,
     dos: list[float] | None,
-) -> tuple[list[TreatmentDataset], StateSpace]:
+) -> list[TreatmentDataset]:
     """Map the `simulate` flags to generator calls, one dataset per treatment."""
-    if model == "ring":
-        space = triangle_3()
+    tids = [f"T{t + 1:02d}" for t in range(treatments)]
+    if model == "vnm":
+        params = VnmParams(p=p, q=q, sessions=sessions, rounds_per_session=rounds)
+        return [
+            simulate_vnm(params, space, seed.split(t), treatment_id=tid)
+            for t, tid in enumerate(tids)
+        ]
     r = space.size
 
     def chain_spec(t_index: int) -> tuple[np.ndarray, np.ndarray]:
@@ -413,25 +420,19 @@ def _simulate_datasets(
             return vec, np.tile(vec, (r, 1))
         raise ConfigError(f"unknown model {model!r}")
 
-    datasets = []
-    for t in range(treatments):
-        tid = f"T{t + 1:02d}"
-        trt_seed = seed.split(t)
-        if model == "vnm":
-            params = VnmParams(p=p, q=q, sessions=sessions, rounds_per_session=rounds)
-            datasets.append(simulate_vnm(params, space, trt_seed, treatment_id=tid))
-            continue
-        dos0, transition = chain_spec(t)
-        trajs = tuple(
-            simulate_chain(
-                dos0, transition, rounds, trt_seed.split(s), session_id=f"s{s + 1}"
-            )
-            for s in range(sessions)
+    dos0, transitions = zip(*map(chain_spec, range(treatments)))
+    states = simulate_sessions(dos0, transitions, sessions, rounds, seed)
+    return [
+        TreatmentDataset(
+            treatment_id=tid,
+            space=space,
+            sessions=tuple(
+                Trajectory(session_id=f"s{s + 1}", states=row)
+                for s, row in enumerate(t_states)
+            ),
         )
-        datasets.append(
-            TreatmentDataset(treatment_id=tid, space=space, sessions=trajs)
-        )
-    return datasets, space
+        for tid, t_states in zip(tids, states)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -548,10 +549,22 @@ def _simulate_cmd(
             raise ConfigError(f"bad --drive-sweep: {exc}") from exc
     if model == "square-cycle" and sweep:
         treatments = len(sweep)
-    # every dataset is held until the write, one int64 per state
+    space = load_space(space_text)
+    if model == "ring":
+        space = triangle_3()
+    if model == "square-cycle" and space.size != len(SQUARE_CYCLE_ORDER):
+        raise ConfigError(
+            f"--model square-cycle needs a 4-state space, since its cycle "
+            f"visits states 0 to 3; --space {space_text!r} has {space.size} states"
+        )
+    if model == "vnm":
+        # every dataset is held until the write, one int64 per state
+        nbytes = 8 * treatments * sessions * rounds
+    else:
+        nbytes = simulate_sessions_bytes(treatments, sessions, rounds, space.size)
     _check_fits_memory(
         f"{treatments} treatment(s) x --sessions {sessions} x --rounds {rounds}",
-        8 * treatments * sessions * rounds,
+        nbytes,
         "states",
     )
     dos_vec = None
@@ -561,9 +574,9 @@ def _simulate_cmd(
         except ValueError as exc:
             raise ConfigError(f"bad --dos: {exc}") from exc
     try:
-        datasets, space = _simulate_datasets(
+        datasets = _simulate_datasets(
             model,
-            load_space(space_text),
+            space,
             root,
             treatments=treatments,
             sessions=sessions,

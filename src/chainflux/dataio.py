@@ -24,11 +24,12 @@ the rest, and whole columns of its rows are converted at once. Memory is
 bounded by one block's index arrays plus one small integer per row of
 states; no whole-file per-row array exists.
 
-write_csv writes the bytes csv.writer would, without a writer call per
-row: each session's id prefix is csv-quoted once, every state maps to a
-precomputed row tail, and rows are joined and written in batches of at most
-_WRITE_BATCH_ROWS, so memory beyond the states does not grow with session
-length.
+write_csv writes the bytes csv.writer would, without a writer call or a
+string concatenation per row: each session's id prefix is csv-quoted once,
+every state maps to a precomputed row tail, and a batch of at most
+_WRITE_BATCH_ROWS rows is one join over a list that interleaves the
+prefix, the round texts and the tails, so memory beyond the states does
+not grow with session length.
 
 Reports are a single strict JSON document (no NaN or Infinity); floats
 serialize via repr (17 significant digits), so write-then-parse round-trips
@@ -668,13 +669,14 @@ def write_csv(datasets, path, encoding: str = "state") -> None:
                 prefix = _csv_prefix(data.treatment_id, traj.session_id)
                 for lo in range(0, len(traj), _WRITE_BATCH_ROWS):
                     states = traj.states[lo : lo + _WRITE_BATCH_ROWS].tolist()
+                    # row k is parts[3k] + parts[3k+1] + parts[3k+2]
+                    parts = [prefix] * (3 * len(states))
                     if lo == 0:
-                        texts = rounds[: len(states)]
+                        parts[1::3] = rounds[: len(states)]
                     else:
-                        texts = map(str, range(lo + 1, lo + len(states) + 1))
-                    heads = [prefix + text for text in texts]
-                    rows = map(operator.add, heads, map(tails.__getitem__, states))
-                    fh.write("".join(rows))
+                        parts[1::3] = map(str, range(lo + 1, lo + len(states) + 1))
+                    parts[2::3] = [tails[s] for s in states]
+                    fh.write("".join(parts))
 
 
 def _csv_prefix(treatment_id, session_id) -> str:

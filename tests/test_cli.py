@@ -148,6 +148,28 @@ class TestSimulate:
         assert err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("space", ["triangle", "five.json"])
+    def test_square_cycle_off_a_4_state_space_exit_1(self, capsys, tmp_path, space):
+        if space == "five.json":
+            descriptor = tmp_path / space
+            descriptor.write_text(json.dumps(
+                {"labels": list("abcde"), "coordinates": [[k, 0] for k in range(5)]}
+            ))
+            space = str(descriptor)
+        out = tmp_path / "x.csv"
+        code, summary, err = run_cli(
+            capsys, "simulate", "--model", "square-cycle", "--space", space,
+            "--rounds", "10", "--output", str(out),
+        )
+        size = 3 if space == "triangle" else 5
+        assert code == 1
+        assert summary is None
+        assert err == (
+            f"error: --model square-cycle needs a 4-state space, since its cycle "
+            f"visits states 0 to 3; --space {space!r} has {size} states\n"
+        )
+        assert not out.exists()
+
     def test_failed_write_exit_1_without_file(self, capsys, monkeypatch, tmp_path):
         fill_disk(monkeypatch, room=100)
         out = tmp_path / "x.csv"
@@ -562,15 +584,18 @@ class TestExitCodesAndDeterminism:
     def test_memory_check_counts_states_not_allocations(
         self, capsys, monkeypatch, tmp_path
     ):
-        # 3 treatments x 2 sessions x 10 rounds = 60 int64 states = 480 B
-        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 480}
+        # 3 treatments x 2 sessions x 10 rounds on 4 states: 960 B of
+        # uniforms and states, 768 B of transitions and cuts, 512 B of cuts
+        # and 760 B of one session as Python objects, and 64 KiB for the
+        # stream = 68536 B
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 68536}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
         args = ("--model", "square-cycle", "--drive-sweep", "0.5,0.6,0.7",
                 "--sessions", "2", "--rounds", "10")
         out = tmp_path / "x.csv"
         code, _, _ = run_cli(capsys, "simulate", "--output", str(out), *args)
         assert code == 0 and out.exists()
-        pages["SC_PHYS_PAGES"] = 479
+        pages["SC_PHYS_PAGES"] = 68535
         out = tmp_path / "y.csv"
         code, _, err = run_cli(capsys, "simulate", "--output", str(out), *args)
         assert code == 1 and not out.exists()
@@ -784,6 +809,10 @@ class TestGoldenSimulate:
                   "--seed", "6"),
         "iid": ("--model", "iid", "--dos", "0.1,0.2,0.3,0.4", "--treatments",
                 "2", "--sessions", "3", "--rounds", "105", "--seed", "8"),
+        # 210 sessions, enough to be walked in lockstep
+        "sweep-lanes": ("--model", "square-cycle", "--drive-sweep", "0.2,0.6,0.9",
+                        "--backward", "0.05", "--sessions", "70", "--rounds", "25",
+                        "--seed", "9"),
     }
 
     @pytest.mark.parametrize(
@@ -803,6 +832,8 @@ class TestGoldenSimulate:
              "bf8c3bee01a593012bd2e46e5674189b8205b7d93b6a6b292820c7374ea102f2"),
             ("iid", "actions",
              "68a521e79fd9c3bed162c53fa9cf2e83b9a96fdf27e8df6cf51463d4412d834c"),
+            ("sweep-lanes", "state",
+             "31a13c8b040503f0ff0f567c8ed3171fe22a6c52de3fc445712c7c296a051236"),
         ],
     )
     def test_record_files_pinned(self, capsys, tmp_path, model, encoding, csv_sha):

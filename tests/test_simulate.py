@@ -1,5 +1,6 @@
 """Record-file generation against the per-step and per-row loops it replaced:
-simulate_chain's bisect walk and write_csv's batched writer."""
+simulate_chain's bisect walk, simulate_sessions' lockstep and per-session
+walks, and write_csv's batched writer."""
 
 from __future__ import annotations
 
@@ -15,16 +16,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chainflux.dataio as dataio
+from chainflux import nullmodels
 from chainflux import (
     Seed,
     StateSpace,
     Trajectory,
     TreatmentDataset,
     simulate_chain,
+    simulate_sessions,
+    simulate_sessions_bytes,
     square_2x2,
     write_csv,
 )
 from chainflux.core import is_square_2x2
+from chainflux.errors import InvalidDistributionError
 
 STATE_HEADER = ["treatment_id", "session_id", "round", "state"]
 ACTION_HEADER = ["treatment_id", "session_id", "round", "row_action", "col_action"]
@@ -115,6 +120,84 @@ def test_simulate_chain_point_masses_match_loop():
         traj = simulate_chain(dos0, transition, 50, Seed(12))
         reference = loop_simulate_chain(dos0, transition, 50, Seed(12))
         assert np.array_equal(traj.states, reference)
+
+
+@pytest.mark.parametrize(
+    "r", [2, 3, 4, 17, nullmodels._LOCKSTEP_STATES, nullmodels._LOCKSTEP_STATES + 1, 300]
+)
+@pytest.mark.parametrize(
+    "lanes",
+    [nullmodels._LOCKSTEP_LANES - 1, nullmodels._LOCKSTEP_LANES],
+    ids=["below-switch", "at-switch"],
+)
+def test_simulate_sessions_matches_loop(r, lanes):
+    # every treatment has its own matrix, like a drive sweep
+    treatments = next(t for t in (3, 2, 1) if lanes % t == 0)
+    rng = np.random.default_rng(r * 1000 + lanes)
+    chains = [random_chain(rng, r) for _ in range(treatments)]
+    dos0 = np.array([d for d, _ in chains])
+    transitions = np.array([p for _, p in chains])
+    sessions = lanes // treatments
+    rounds = int(rng.integers(2, 60))
+    seed = Seed(int(rng.integers(0, 2**63)))
+    states = simulate_sessions(dos0, transitions, sessions, rounds, seed)
+    assert states.shape == (treatments, sessions, rounds)
+    assert states.dtype == np.int64
+    for t in range(treatments):
+        for s in range(sessions):
+            reference = loop_simulate_chain(
+                dos0[t], transitions[t], rounds, seed.split(t).split(s)
+            )
+            assert np.array_equal(states[t, s], reference), (t, s)
+
+
+@pytest.mark.parametrize(
+    "sessions", [1, nullmodels._LOCKSTEP_LANES], ids=["per-session", "lockstep"]
+)
+def test_simulate_sessions_point_masses_match_loop(sessions):
+    # rows that put all mass on the first or the last state
+    r = 5
+    transition = np.zeros((r, r))
+    transition[::2, -1] = 1.0
+    transition[1::2, 0] = 1.0
+    dos0 = np.array([[1.0, 0, 0, 0, 0], [0, 0, 0, 0, 1.0]])
+    states = simulate_sessions(dos0, [transition, transition], sessions, 50, Seed(12))
+    for t in range(2):
+        for s in range(sessions):
+            reference = loop_simulate_chain(
+                dos0[t], transition, 50, Seed(12).split(t).split(s)
+            )
+            assert np.array_equal(states[t, s], reference)
+
+
+@pytest.mark.parametrize(
+    "treatments, sessions, rounds, r",
+    [(2, 3, 20000, 300), (1, 1, 50000, 4), (1, 5000, 2, 300), (8, 25, 2000, 4),
+     (1, 2000, 20, 64), (1, 100000, 2, 4)],
+    ids=["per-session-300", "per-session-4", "short-sessions-300", "lockstep-4",
+         "lockstep-64", "short-sessions-4"],
+)
+def test_simulate_sessions_bytes_bounds_traced_peak(treatments, sessions, rounds, r):
+    rng = np.random.default_rng(r)
+    transitions = np.array([random_chain(rng, r)[1] for _ in range(treatments)])
+    dos0 = np.full((treatments, r), 1 / r)
+    tracemalloc.start()
+    try:
+        simulate_sessions(dos0, transitions, sessions, rounds, Seed(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= simulate_sessions_bytes(treatments, sessions, rounds, r)
+
+
+def test_simulate_sessions_rejects_bad_distributions():
+    transitions = np.stack([np.eye(3), np.full((3, 3), 0.4)])
+    with pytest.raises(InvalidDistributionError, match="transition row 0"):
+        simulate_sessions(np.full((2, 3), 1 / 3), transitions, 2, 10, Seed(0))
+    with pytest.raises(InvalidDistributionError, match="dos0"):
+        simulate_sessions([[1 / 3] * 3, [0.5, 0.2, 0.2]], [np.eye(3)] * 2, 2, 10, Seed(0))
+    with pytest.raises(ValueError, match="shape"):
+        simulate_sessions(np.full((2, 3), 1 / 3), [np.eye(3)], 2, 10, Seed(0))
 
 
 # ---------------------------------------------------------------------------
