@@ -31,6 +31,7 @@ from .nullmodels import (
     simulate_sessions,
     simulate_sessions_bytes,
     simulate_vnm,
+    simulate_vnm_bytes,
     vnm_null_distribution,
 )
 from .observables import (
@@ -82,6 +83,7 @@ __all__ = [
     "simulate_sessions",
     "simulate_sessions_bytes",
     "simulate_vnm",
+    "simulate_vnm_bytes",
     "vnm_null_distribution",
     "dos_baseline",
     "TestResult",

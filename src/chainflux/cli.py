@@ -47,6 +47,7 @@ from .nullmodels import (
     simulate_sessions,
     simulate_sessions_bytes,
     simulate_vnm,
+    simulate_vnm_bytes,
     vnm_null_distribution,
 )
 from .observables import ZeroFluxPolicy, epr, full_report
@@ -558,8 +559,7 @@ def _simulate_cmd(
             f"visits states 0 to 3; --space {space_text!r} has {space.size} states"
         )
     if model == "vnm":
-        # every dataset is held until the write, one int64 per state
-        nbytes = 8 * treatments * sessions * rounds
+        nbytes = simulate_vnm_bytes(treatments, sessions, rounds)
     else:
         nbytes = simulate_sessions_bytes(treatments, sessions, rounds, space.size)
     _check_fits_memory(

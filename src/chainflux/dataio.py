@@ -15,17 +15,24 @@ within one file.
 Cells follow csv's default dialect and int(cell.strip()); invalid UTF-8 is
 a ParseError naming its line, and every error names the first offending
 line. load_csv reads the body in _BLOCK_BYTES blocks cut at line ends and
-parses each quote-free block with numpy: line ends and commas by
-flatnonzero, column counts by searchsorted, digit cells as arrays (other
-cells through int() one at a time), and the row checks as array predicates
-over runs of rows sharing a (treatment, session) prefix, with one dict
-lookup per run. From the first block with a quote on, csv.reader splits
-the rest, and whole columns of its rows are converted at once. Memory is
-bounded by one block's index arrays plus one small integer per row of
-states; no whole-file per-row array exists.
+parses each quote-free block with numpy, with the well-formed block as the
+cheap case. Line ends and commas are found by flatnonzero; line ends that
+are all \\n or all \\r\\n need no search for a lone \\r. When the commas
+fill a (rows, n_cols - 1) grid, one count and two bound comparisons check
+every row's column count; otherwise searchsorted counts them, only to find
+the first irregular row. A column of one-byte cells is one gather, longer
+digit cells are read by a digit loop, and other cells go through int() one
+at a time. Runs of rows sharing a (treatment, session) prefix are found
+with one word gather per 8 prefix bytes and looked up once per run; the
+row checks are array predicates, and a block whose runs are already in
+session order skips the reordering. From the first block with a quote on,
+csv.reader splits the rest, and whole columns of its rows are converted at
+once. Memory is bounded by one block's index arrays plus one small integer
+per row of states; no whole-file per-row array exists.
 
 write_csv writes the bytes csv.writer would, without a writer call or a
-string concatenation per row: each session's id prefix is csv-quoted once,
+string concatenation per row: each session's id prefix is built once (by
+csv only when an id holds a comma, quote or line end),
 every state maps to a precomputed row tail, and a batch of at most
 _WRITE_BATCH_ROWS rows is one join over a list that interleaves the
 prefix, the round texts and the tails, so memory beyond the states does
@@ -94,9 +101,9 @@ _ACTION_HEADER = ["treatment_id", "session_id", "round", "row_action", "col_acti
 
 _BUILTIN_SPACES = {"square": square_2x2, "triangle": triangle_3}
 
-# Bytes read per ingest block; a block is cut at its last line end. Its index
-# arrays take about 200 bytes per row, so 64 KiB keeps them under 1 MB;
-# larger blocks were no faster on 10^6 rows.
+# Bytes read per ingest block; a block is cut at its last line end. Parsing
+# one peaks at about 130 bytes per row (tracemalloc, 17-byte action rows),
+# so 64 KiB keeps it near 0.5 MB; larger blocks were no faster on 10^6 rows.
 _BLOCK_BYTES = 1 << 16
 # Rows per validation batch once a quote sends the rest of a file through csv.
 _QUOTED_BATCH_ROWS = 4096
@@ -104,9 +111,13 @@ _QUOTED_BATCH_ROWS = 4096
 _WRITE_BATCH_ROWS = 1 << 16
 _BOM = b"\xef\xbb\xbf"
 _LINE_END = re.compile(rb"\r\n|\r|\n")
+# Characters for which csv.writer's default dialect quotes a cell.
+_CSV_QUOTED = re.compile(r'[,"\r\n]')
 # Longest digit string that always fits in int64; longer cells go via int().
 _MAX_DIGITS = 18
 _INT64 = np.iinfo(np.int64)
+# _LOW_BYTES[k]: a uint64 mask of the low k bytes, 0 <= k <= 8
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 # Bytes that make a row non-blank: ASCII other than commas and whitespace. A
 # row that does not start with one is checked with str.strip(), as csv is.
 _TEXT_BYTE = np.array(
@@ -354,12 +365,16 @@ def _int_array(values: list[int]) -> np.ndarray:
     return np.array(values, dtype=object if wide else np.int64)
 
 
-def _line_bounds(block: bytes, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _line_bounds(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Start and stop (before the line end) of each line of a block, split
     where csv splits lines: at \\n, \\r\\n and a lone \\r."""
     ends = np.flatnonzero(a == 10)
-    stops = ends
-    if b"\r" in block:
+    n_cr = np.count_nonzero(a == 13)
+    if not n_cr:
+        stops = ends
+    elif n_cr == ends.size and ends[0] and (a[ends - 1] == 13).all():
+        stops = ends - 1  # every line ends with CRLF
+    else:
         cr = np.flatnonzero(a == 13)
         lone = cr[(cr + 1 == a.size) | (a[np.minimum(cr + 1, a.size - 1)] != 10)]
         if lone.size:
@@ -367,11 +382,10 @@ def _line_bounds(block: bytes, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             mark[lone] = True
             ends = np.flatnonzero(mark)
         stops = ends - ((a[ends] == 10) & (a[ends - 1] == 13) & (ends > 0))
-    starts = np.concatenate(([0], ends + 1))
-    stops = np.concatenate((stops, [a.size]))
-    if starts[-1] == a.size:  # the block ends with a line end
-        return starts[:-1], stops[:-1]
-    return starts, stops
+    closed = ends.size and ends[-1] == a.size - 1  # the last line has an end
+    starts = np.zeros(ends.size + (not closed), dtype=ends.dtype)
+    starts[1:] = ends[: starts.size - 1] + 1
+    return starts, stops if closed else np.append(stops, a.size)
 
 
 def _cell_bounds(a, starts, stops, n_cols: int) -> tuple[int, list[np.ndarray]]:
@@ -379,6 +393,12 @@ def _cell_bounds(a, starts, stops, n_cols: int) -> tuple[int, list[np.ndarray]]:
     n_cols - 1, and their cell bounds: cell j of row i is bytes
     bounds[j][i] + 1 up to bounds[j + 1][i]."""
     commas = np.flatnonzero(a == ord(","))
+    if commas.size == starts.size * (n_cols - 1):
+        # each row holds at least the n_cols - 1 commas of its grid row, so
+        # with this total, exactly those
+        grid = commas.reshape(starts.size, n_cols - 1)
+        if (grid[:, 0] >= starts).all() and (grid[:, -1] < stops).all():
+            return starts.size, [starts - 1, *grid.T, stops]
     first = np.searchsorted(commas, starts)
     wrong = np.flatnonzero(np.searchsorted(commas, stops) - first != n_cols - 1)
     m = int(wrong[0]) if wrong.size else starts.size
@@ -386,38 +406,44 @@ def _cell_bounds(a, starts, stops, n_cols: int) -> tuple[int, list[np.ndarray]]:
     return m, [starts[:m] - 1, *cuts, stops[:m]]
 
 
-def _run_starts(block: bytes, a, starts, width) -> np.ndarray:
+def _run_starts(buf, starts, width) -> np.ndarray:
     """Rows whose first `width` bytes differ from the row before's: equal
-    widths, then the bytes compared 8 at a time as words."""
-    words = np.ndarray(a.size, "<u8", block + bytes(8), strides=(1,))
+    widths, then the bytes compared 8 at a time as words, each step with one
+    gather over every row."""
+    words = np.ndarray(buf.size - 7, "V8", buf, strides=(1,))  # raw, unaligned
     same = np.zeros(starts.size, dtype=bool)
-    cand = np.flatnonzero(width[1:] == width[:-1]) + 1
-    for at in itertools.count(0, 8):
-        if not cand.size:
-            break
-        left = width[cand] - at
-        diff = words[starts[cand] + at] ^ words[starts[cand - 1] + at]
-        # keep the low min(left, 8) bytes: the rest lie past the prefix
-        diff <<= (8 * (8 - np.minimum(left, 8))).astype(np.uint64)
-        last = left <= 8
-        same[cand[(diff == 0) & last]] = True
-        cand = cand[(diff == 0) & ~last]
+    same[1:] = width[1:] == width[:-1]
+    for at in range(0, int(width.max(initial=0)), 8):
+        # a row whose prefix ends before `at` compares no bytes (mask 0)
+        at_rows = np.minimum(starts + at, words.size - 1) if at else starts
+        word = words[at_rows].view("<u8")
+        mask = _LOW_BYTES.take(width[1:] - at, mode="clip")
+        same[1:] &= (word[1:] ^ word[:-1]) & mask == 0
     return np.flatnonzero(~same)
 
 
-def _int_cells(block: bytes, a, begin, end) -> tuple[np.ndarray, np.ndarray]:
+def _int_cells(block: bytes, buf, begin, end) -> tuple[np.ndarray, np.ndarray]:
     """(values, parsed) of the cells block[begin:end]: plain ASCII digit
-    strings are read with numpy, any other cell with _ints."""
+    strings are read with numpy from `buf`, the block followed by at least
+    _MAX_DIGITS bytes, and any other cell with _ints."""
     n = end - begin
-    plain = (n > 0) & (n <= _MAX_DIGITS)
-    values = np.zeros(n.size, dtype=np.int64)
-    for j in range(int(n.max(initial=0, where=plain))):
-        d = a[np.minimum(begin + j, a.size - 1)] - np.uint8(ord("0"))
-        inside = n > j
-        plain &= ~inside | (d <= 9)
-        values = np.where(inside, values * 10 + d, values)
-    odd = np.flatnonzero(~plain)
-    if odd.size:
+    if (n == 1).all():  # one byte per cell: one gather
+        d = buf[begin] - np.uint8(ord("0"))
+        values, plain = d.astype(np.int64), d <= 9
+    else:
+        plain = (n > 0) & (n <= _MAX_DIGITS)
+        values = np.zeros(n.size, dtype=np.int64)
+        top = np.zeros(n.size, dtype=np.uint8)  # largest byte - '0' read
+        short = int(n.min(initial=_MAX_DIGITS, where=plain))
+        for j in range(int(n.max(initial=0, where=plain))):
+            d = buf[j:][begin] - np.uint8(ord("0"))
+            inside = j < short or n > j  # True: every plain cell has byte j
+            np.maximum(top, d, out=top, where=inside)
+            np.multiply(values, 10, out=values, where=inside)
+            np.add(values, d, out=values, where=inside)
+        plain &= top <= 9
+    if not plain.all():
+        odd = np.flatnonzero(~plain)
         more, parsed = _ints(block[begin[i] : end[i]].decode("utf-8") for i in odd)
         values = values.astype(more.dtype, copy=False)
         values[odd], plain[odd] = more, parsed
@@ -494,26 +520,29 @@ class _Records:
 
     def _scan(self, block: bytes, line: int) -> tuple[_Rows, int]:
         """Split a quote-free block into rows and cells with numpy."""
-        a = np.frombuffer(block, dtype=np.uint8)
-        starts, stops = _line_bounds(block, a)
+        buf = np.frombuffer(block + bytes(_MAX_DIGITS), dtype=np.uint8)
+        a = buf[: len(block)]
+        starts, stops = _line_bounds(a)
         n_lines = starts.size
+        rows = np.arange(n_lines)
         keep = _TEXT_BYTE[a[starts]]
-        for i in np.flatnonzero(~keep):
-            keep[i] = not _is_blank(block[starts[i] : stops[i]].decode("utf-8"))
-        rows = np.flatnonzero(keep)
-        starts, stops = starts[rows], stops[rows]
+        if not keep.all():
+            for i in np.flatnonzero(~keep):
+                keep[i] = not _is_blank(block[starts[i] : stops[i]].decode("utf-8"))
+            rows = np.flatnonzero(keep)
+            starts, stops = starts[rows], stops[rows]
 
         def cells(i):
             return block[starts[i] : stops[i]].decode("utf-8").split(",")
 
         m, bounds = _cell_bounds(a, starts, stops, self.n_cols)
-        run_starts = _run_starts(block, a, starts[:m], bounds[2] - bounds[0] - 1)
+        run_starts = _run_starts(buf, starts[:m], bounds[2] - bounds[0] - 1)
         # each run's 'treatment,session' bytes, decoded once per distinct value
         lo, hi = (bounds[0][run_starts] + 1).tolist(), bounds[2][run_starts].tolist()
         prefixes = [block[i:j] for i, j in zip(lo, hi)]
         keys = [self.keys.get(p) or self._key(p) for p in prefixes]
         numbers = [
-            _int_cells(block, a, bounds[j] + 1, bounds[j + 1])
+            _int_cells(block, buf, bounds[j] + 1, bounds[j + 1])
             for j in range(2, self.n_cols)
         ]
         return _Rows(line + rows[: m + 1], numbers, run_starts, keys, cells), n_lines
@@ -543,8 +572,8 @@ class _Records:
         (rnd, ok), *rest = rows.numbers
         if self.action_encoding:
             (row_a, row_ok), (col_a, col_ok) = rest
-            ok = ok & row_ok & col_ok & (row_a >= 0) & (row_a <= 1)
-            ok &= (col_a >= 0) & (col_a <= 1)
+            # both actions are 0 or 1: no bit above the lowest is set
+            ok = ok & row_ok & col_ok & ((row_a | col_a) >> 1 == 0)
             state = 2 * row_a + col_a
         else:
             [(state, state_ok)] = rest
@@ -558,10 +587,13 @@ class _Records:
         sessions = [self.sessions.setdefault(key, [0, bytearray()]) for key in local]
         runs = sorted(range(len(run_session)), key=run_session.__getitem__)
         bounds = np.append(rows.run_starts, rnd.size)
-        starts, lengths = bounds[runs], np.diff(bounds)[runs]
-        order = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-        order += np.arange(rnd.size)
+        starts, lengths = bounds[runs], (bounds[1:] - bounds[:-1])[runs]
         group = np.repeat(np.array(run_session, dtype=np.intp)[runs], lengths)
+        if runs == list(range(len(runs))):
+            order = slice(None)  # no session resumes: the rows are in order
+        else:
+            order = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+            order += np.arange(rnd.size)
 
         # rounds increase within a session, from its last round so far on
         last = _int_array([session[0] for session in sessions])
@@ -573,16 +605,15 @@ class _Records:
         before = np.empty_like(rnd)
         before[1:] = rnd[:-1]
         before[first] = last[group[first]]
-        ok[order[rnd <= before]] = False
-        failing = np.flatnonzero(~ok)
-        stop = int(failing[0]) if failing.size else ok.size
+        ok[order] &= rnd > before
+        stop = ok.size if ok.all() else int(ok.argmin())  # the first failing row
 
         # rows before `stop` are a prefix of each session's group
-        valid = order < stop
-        order, group, rnd = order[valid], group[valid], rnd[valid]
-        states = state[order].astype(self.dtype)
-        heads = np.flatnonzero(first[valid])
-        for lo, hi in zip(heads.tolist(), np.append(heads[1:], order.size).tolist()):
+        valid = slice(stop) if isinstance(order, slice) else order < stop
+        group, rnd, first = group[valid], rnd[valid], first[valid]
+        states = state[order][valid].astype(self.dtype)
+        heads = np.flatnonzero(first).tolist()
+        for lo, hi in zip(heads, heads[1:] + [rnd.size]):
             session = sessions[group[lo]]
             session[0] = int(rnd[hi - 1])
             session[1] += states[lo:hi].tobytes()
@@ -680,7 +711,12 @@ def write_csv(datasets, path, encoding: str = "state") -> None:
 
 
 def _csv_prefix(treatment_id, session_id) -> str:
-    """The csv-quoted 'treatment_id,session_id,' that starts a session's rows."""
+    """The csv-quoted 'treatment_id,session_id,' that starts a session's rows.
+    csv.writer quotes a str cell only for a comma, quote or line end in it,
+    so other str ids are written as they are."""
+    if isinstance(treatment_id, str) and isinstance(session_id, str):
+        if not (_CSV_QUOTED.search(treatment_id) or _CSV_QUOTED.search(session_id)):
+            return f"{treatment_id},{session_id},"
     buf = io.StringIO()
     csv.writer(buf).writerow([treatment_id, session_id, ""])
     return buf.getvalue()[: -len("\r\n")]

@@ -62,6 +62,7 @@ __all__ = [
     "simulate_sessions",
     "simulate_sessions_bytes",
     "simulate_vnm",
+    "simulate_vnm_bytes",
     "vnm_null_distribution",
     "dos_baseline",
 ]
@@ -369,6 +370,22 @@ def simulate_sessions_bytes(treatments: int, sessions: int, rounds: int, r: int)
     if _walks_in_lockstep(lanes, r):
         return held + lanes * (9 * (r - 1) + 32)
     return held + 32 * r * r + rounds * (8 + 32 + 36)
+
+
+def simulate_vnm_bytes(treatments: int, sessions: int, rounds: int) -> int:
+    """Bytes held at the peak of drawing `treatments` simulate_vnm datasets
+    one after another and keeping them: the int64 states of every earlier
+    treatment; for the one being drawn, two float64 uniforms and three
+    one-byte masks per state (more than its int64 states, built once the
+    uniforms are freed); 256 bytes of Python objects per session and 64 KiB
+    for the stream."""
+    per_treatment = sessions * rounds
+    return (
+        8 * (treatments - 1) * per_treatment
+        + (16 + 3) * per_treatment
+        + 256 * treatments * sessions
+        + 2**16
+    )
 
 
 def _vnm_states(u: np.ndarray, p: float, q: float) -> np.ndarray:

@@ -601,6 +601,27 @@ class TestExitCodesAndDeterminism:
         assert code == 1 and not out.exists()
         assert err.startswith("error: 3 treatment(s) x --sessions 2 x --rounds 10 ")
 
+    def test_vnm_memory_check_counts_uniforms_and_masks(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # 3 treatments x 2 sessions x 10 rounds: 320 B of the two earlier
+        # treatments' int64 states, 380 B of uniforms and masks for the one
+        # being drawn, 1536 B of session objects and 64 KiB for the stream
+        # = 67772 B
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 67772}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        args = ("--model", "vnm", "--treatments", "3", "--sessions", "2",
+                "--rounds", "10")
+        out = tmp_path / "x.csv"
+        code, _, _ = run_cli(capsys, "simulate", "--output", str(out), *args)
+        assert code == 0 and out.exists()
+        pages["SC_PHYS_PAGES"] = 67771
+        out = tmp_path / "y.csv"
+        code, _, err = run_cli(capsys, "simulate", "--output", str(out), *args)
+        assert code == 1 and not out.exists()
+        assert err.startswith("error: 3 treatment(s) x --sessions 2 x --rounds 10 ")
+        assert "GiB of states, more than the" in err
+
     def test_output_that_is_a_directory_exit_1(self, capsys, tmp_path):
         data = tmp_path / "d.csv"
         data.write_text("treatment_id,session_id,round,state\nt,s,1,0\nt,s,2,1\n")

@@ -369,3 +369,80 @@ def test_odd_number_cells_match_loop(tmp_path, actions, cell):
         text = ",".join(header) + "\nt,s,1,0" + ",0" * actions + "\n"
         path = write(tmp_path, (text + ",".join(cells) + "\n").encode())
         assert_same_as_loop(path, square_2x2(), BLOCK_BYTES)
+
+
+# ---------------------------------------------------------------------------
+# well-formed blocks: the comma grid and CRLF line ends
+# ---------------------------------------------------------------------------
+
+
+def strict_rows(n: int) -> list[str]:
+    """n action rows as write_csv writes them: two sessions, CRLF ends."""
+    return [
+        f"T01,s{k * 2 // n + 1},{k + 1},{k % 2},{k // 2 % 2}\r\n" for k in range(n)
+    ]
+
+
+def strict_file(rows: list[str]) -> bytes:
+    return (",".join(ACTION_HEADER) + "\r\n" + "".join(rows)).encode()
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        ["T01,s1,5,0,1,7\r\n", "T01,s1,6,1\r\n"],
+        ["T01,s1,5,0\r\n", "T01,s1,6,1,0,1\r\n"],
+        ["T01,s1,5,0,1,7\r\n", "T01,s1,6,1,0\r\n", "T01,s1,7\r\n", "T01,s1,8,1,1,1\r\n"],
+    ],
+    ids=["long-then-short", "short-then-long", "long-short-twice"],
+)
+def test_compensating_column_counts_in_one_block(tmp_path, pair):
+    """The block's comma total is right, but its rows are not."""
+    rows = strict_rows(40)
+    rows[20 : 20 + len(pair)] = pair
+    path = write(tmp_path, strict_file(rows))
+    assert_same_as_loop(path, square_2x2(), BLOCK_BYTES)
+    with pytest.raises(ParseError, match="expected 5 columns") as exc:
+        load_csv(path, square_2x2())
+    assert exc.value.line == 22
+
+
+@pytest.mark.parametrize("where", [1, 20, 39])
+def test_one_lone_cr_in_a_crlf_block(tmp_path, where):
+    rows = strict_rows(40)
+    rows[where] = rows[where].replace("\r\n", "\r")
+    path = write(tmp_path, strict_file(rows))
+    assert_same_as_loop(path, square_2x2(), BLOCK_BYTES)
+    assert len(load_csv(path, square_2x2())[0].sessions[0]) == 20
+
+
+STRICT_FAULTS = FAULTS + ["empty first cell", "empty last cell"]
+
+
+def _fault(row: str, fault: str) -> str:
+    tid, sid, rnd, row_a, col_a = row.rstrip("\r\n").split(",")
+    cells = {
+        "repeat round": [tid, sid, str(int(rnd) - 1), row_a, col_a],
+        "zero round": [tid, sid, "0", row_a, col_a],
+        "junk": [tid, sid, rnd, "x", col_a],
+        "state range": [tid, sid, rnd, "2", col_a],
+        "short": [tid, sid, rnd, row_a],
+        "long": [tid, sid, rnd, row_a, col_a, "7"],
+        "empty first cell": ["", tid + sid, rnd, row_a, col_a],
+        "empty last cell": [tid, sid, rnd, row_a, ""],
+    }[fault]
+    return ",".join(cells) + "\r\n"
+
+
+@pytest.mark.parametrize("fault", STRICT_FAULTS)
+@pytest.mark.parametrize("where", ["first", "end of block one", "last"])
+def test_strict_two_block_file_with_one_fault(tmp_path, where, fault):
+    rows = strict_rows(5000)
+    data = strict_file(rows)
+    assert BLOCK_BYTES < len(data) <= 2 * BLOCK_BYTES
+    # the last row whose line end lies in the first block read
+    last_in_block = data.count(b"\n", 0, BLOCK_BYTES) - 2
+    at = {"first": 0, "end of block one": last_in_block, "last": len(rows) - 1}
+    rows[at[where]] = _fault(rows[at[where]], fault)
+    path = write(tmp_path, strict_file(rows))
+    assert_same_as_loop(path, square_2x2(), BLOCK_BYTES)

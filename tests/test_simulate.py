@@ -5,6 +5,7 @@ walks, and write_csv's batched writer."""
 from __future__ import annotations
 
 import csv
+import io
 import tracemalloc
 from bisect import bisect_right
 from pathlib import Path
@@ -22,14 +23,18 @@ from chainflux import (
     StateSpace,
     Trajectory,
     TreatmentDataset,
+    VnmParams,
     simulate_chain,
     simulate_sessions,
     simulate_sessions_bytes,
+    simulate_vnm,
+    simulate_vnm_bytes,
     square_2x2,
     write_csv,
 )
 from chainflux.core import is_square_2x2
 from chainflux.errors import InvalidDistributionError
+from test_ingest import IDS, QUOTED_IDS
 
 STATE_HEADER = ["treatment_id", "session_id", "round", "state"]
 ACTION_HEADER = ["treatment_id", "session_id", "round", "row_action", "col_action"]
@@ -190,6 +195,27 @@ def test_simulate_sessions_bytes_bounds_traced_peak(treatments, sessions, rounds
     assert peak <= simulate_sessions_bytes(treatments, sessions, rounds, r)
 
 
+@pytest.mark.parametrize(
+    "treatments, sessions, rounds",
+    [(1, 10, 100_000), (3, 10, 100_000), (3, 2, 10), (1, 1, 2), (5, 100, 2),
+     (2, 1000, 50)],
+)
+def test_simulate_vnm_bytes_bounds_traced_peak(treatments, sessions, rounds):
+    params = VnmParams(p=0.4, q=0.6, sessions=sessions, rounds_per_session=rounds)
+    tracemalloc.start()
+    try:
+        # what simulate --model vnm holds: every dataset, drawn in turn
+        datasets = [
+            simulate_vnm(params, square_2x2(), Seed(5).split(t))
+            for t in range(treatments)
+        ]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(datasets) == treatments
+    assert peak <= simulate_vnm_bytes(treatments, sessions, rounds)
+
+
 def test_simulate_sessions_rejects_bad_distributions():
     transitions = np.stack([np.eye(3), np.full((3, 3), 0.4)])
     with pytest.raises(InvalidDistributionError, match="transition row 0"):
@@ -263,6 +289,15 @@ def test_sessions_across_the_batch_boundary_byte_identical(tmp_path, encoding):
     write_csv(datasets, tmp_path / "new.csv", encoding=encoding)
     loop_write_csv(datasets, tmp_path / "old.csv", encoding=encoding)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("treatment_id", IDS + QUOTED_IDS + [7, None])
+def test_id_prefix_matches_csv_writer(treatment_id):
+    for session_id in IDS + QUOTED_IDS + [7, None]:
+        buf = io.StringIO()
+        csv.writer(buf).writerow([treatment_id, session_id, "1", "0"])
+        expected = buf.getvalue()[: -len("1,0\r\n")]
+        assert dataio._csv_prefix(treatment_id, session_id) == expected
 
 
 def test_empty_dataset_list_writes_the_header(tmp_path):
