@@ -19,7 +19,6 @@ from . import __version__
 from .core import (
     MarkovEstimate,
     StateSpace,
-    Trajectory,
     TreatmentDataset,
     estimate_markov,
     is_square_2x2,
@@ -187,7 +186,7 @@ def _analyze_treatment(config: AnalysisConfig, idx: int, data: TreatmentDataset)
     return {
         "treatment_id": data.treatment_id,
         "n_observations": est.n_observations,
-        "n_sessions": len(data.sessions),
+        "n_sessions": len(data.session_ids),
         "dos": est.dos.tolist(),
         "transition": est.transition.tolist(),
         "counts": est.counts.tolist(),
@@ -212,10 +211,11 @@ def _vnm_params_from(est: MarkovEstimate, data: TreatmentDataset, burn_in: int) 
     sessions left with a transition pair after burn-in count."""
     p_hat = float(est.dos[2] + est.dos[3])  # P(row_action = 1)
     q_hat = float(est.dos[1] + est.dos[3])  # P(col_action = 1)
-    lengths = [len(t) - burn_in for t in data.sessions if len(t) - burn_in >= 2]
-    rounds = max(2, int(round(sum(lengths) / len(lengths))))
+    lengths = data.retained_lengths(burn_in)
+    lengths = lengths[lengths >= 2]
+    rounds = max(2, int(round(int(lengths.sum()) / lengths.size)))
     return VnmParams(
-        p=p_hat, q=q_hat, sessions=len(lengths), rounds_per_session=rounds
+        p=p_hat, q=q_hat, sessions=int(lengths.size), rounds_per_session=rounds
     )
 
 
@@ -424,14 +424,7 @@ def _simulate_datasets(
     dos0, transitions = zip(*map(chain_spec, range(treatments)))
     states = simulate_sessions(dos0, transitions, sessions, rounds, seed)
     return [
-        TreatmentDataset(
-            treatment_id=tid,
-            space=space,
-            sessions=tuple(
-                Trajectory(session_id=f"s{s + 1}", states=row)
-                for s, row in enumerate(t_states)
-            ),
-        )
+        TreatmentDataset.from_rows(tid, space, t_states)
         for tid, t_states in zip(tids, states)
     ]
 

@@ -1,15 +1,18 @@
-"""State spaces, trajectories, and Markov-chain estimation from observed
-state sequences.
+"""State spaces, treatment datasets, and Markov-chain estimation from
+observed state sequences.
 
 A treatment is one experimental condition: one or more sessions of play,
-each recorded as an ordered sequence of state indices. Chains are estimated
-by counting consecutive pairs within sessions (never across boundaries) and
-normalizing; the density of states (DOS) is the pooled occupancy frequency.
+each an ordered sequence of state indices, held in one flat layout per
+treatment (TreatmentDataset). Chains are estimated by counting consecutive
+pairs within sessions (never across boundaries) and normalizing; the
+density of states (DOS) is the pooled occupancy frequency. pair_counts,
+the one pair-count kernel, serves the data (B = 1) and the Monte-Carlo
+nulls' replicate blocks alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +28,7 @@ __all__ = [
     "is_square_2x2",
     "triangle_3",
     "chain_from_counts",
+    "pair_counts",
     "estimate_markov",
     "stationarity_diagnostic",
 ]
@@ -34,6 +38,14 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
     arr.flags.writeable = False
     return arr
+
+
+def _freeze(obj, **dtypes) -> list[np.ndarray]:
+    """Make each named field of a frozen dataclass a read-only array of its
+    dtype; return the arrays in order."""
+    for name, dtype in dtypes.items():
+        object.__setattr__(obj, name, _readonly(np.asarray(getattr(obj, name), dtype)))
+    return [getattr(obj, name) for name in dtypes]
 
 
 @dataclass(frozen=True)
@@ -107,12 +119,11 @@ class Trajectory:
     states: np.ndarray
 
     def __post_init__(self):
-        states = np.asarray(self.states, dtype=np.int64)
+        [states] = _freeze(self, states=np.int64)
         if states.ndim != 1:
             raise ValueError("states must be a 1-D sequence")
         if states.size and states.min() < 0:
             raise ValueError("state indices must be nonnegative")
-        object.__setattr__(self, "states", _readonly(states))
 
     def __len__(self) -> int:
         return int(self.states.size)
@@ -120,27 +131,92 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class TreatmentDataset:
-    """All sessions of one treatment over a shared state space."""
+    """All sessions of one treatment over a shared state space, in one flat
+    layout: session k is states[offsets[k]:offsets[k + 1]], named
+    session_ids[k]. states and offsets (S + 1 bounds from 0 to states.size)
+    are read-only int64 arrays; an empty session repeats an offset."""
 
     treatment_id: str
     space: StateSpace
-    sessions: tuple[Trajectory, ...]
-    meta: dict = field(default_factory=dict)
+    states: np.ndarray
+    offsets: np.ndarray
+    session_ids: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "sessions", tuple(self.sessions))
+        states, offsets = _freeze(self, states=np.int64, offsets=np.int64)
+        ids = tuple(self.session_ids)
+        object.__setattr__(self, "session_ids", ids)
+        if states.ndim != 1:
+            raise ValueError("states must be a 1-D sequence")
+        if offsets.ndim != 1 or [*offsets[:1], *offsets[-1:]] != [0, states.size]:
+            raise ValueError(f"offsets must run from 0 to {states.size}")
+        if (np.diff(offsets) < 0).any():
+            raise ValueError("offsets must never decrease")
+        if len(ids) != offsets.size - 1:
+            raise ValueError(f"{offsets.size - 1} sessions but {len(ids)} session ids")
         r = self.space.size
-        for traj in self.sessions:
-            if traj.states.size and traj.states.max() >= r:
-                raise StateOutOfRangeError(
-                    f"session {traj.session_id!r} of treatment "
-                    f"{self.treatment_id!r} contains state "
-                    f"{int(traj.states.max())} but the space has r={r}"
-                )
+        if states.size and states.min() < 0:
+            raise ValueError("state indices must be nonnegative")
+        if states.size and states.max() >= r:
+            k = int(np.searchsorted(offsets, np.argmax(states >= r), side="right")) - 1
+            raise StateOutOfRangeError(
+                f"session {ids[k]!r} of treatment {self.treatment_id!r} "
+                f"contains state {int(states[offsets[k] : offsets[k + 1]].max())} "
+                f"but the space has r={r}"
+            )
+
+    @classmethod
+    def from_sessions(cls, treatment_id: str, space: StateSpace, sessions):
+        """Dataset of the given Trajectory sessions, in order."""
+        sessions = tuple(sessions)
+        states = np.concatenate([np.zeros(0, np.int64), *(t.states for t in sessions)])
+        offsets = np.cumsum([0, *map(len, sessions)])
+        ids = [t.session_id for t in sessions]
+        return cls(treatment_id, space, states, offsets, ids)
+
+    @classmethod
+    def from_rows(cls, treatment_id: str, space: StateSpace, states: np.ndarray):
+        """Dataset of equal-length sessions s1, s2, ...: row k of the
+        (sessions, rounds) states is session k + 1."""
+        sessions, rounds = states.shape
+        offsets = np.arange(sessions + 1) * rounds
+        ids = [f"s{k + 1}" for k in range(sessions)]
+        return cls(treatment_id, space, states.ravel(), offsets, ids)
+
+    @property
+    def sessions(self) -> tuple[Trajectory, ...]:
+        """Each session as a Trajectory over a slice of states."""
+        bounds = self.offsets.tolist()
+        return tuple(
+            Trajectory(sid, self.states[lo:hi])
+            for sid, lo, hi in zip(self.session_ids, bounds, bounds[1:])
+        )
 
     @property
     def n_rounds(self) -> int:
-        return sum(len(t) for t in self.sessions)
+        return int(self.states.size)
+
+    def retained_lengths(self, burn_in: int) -> np.ndarray:
+        """Each session's record count once its first burn_in records are
+        dropped: the sample design that estimate_markov counts.
+
+        Raises:
+            EmptyDataError: nothing retained after burn-in.
+            AllSessionsTooShortError: no retained session has two records.
+        """
+        if burn_in < 0:
+            raise ValueError("burn_in must be >= 0")
+        lengths = np.maximum(np.diff(self.offsets) - burn_in, 0)
+        tid = self.treatment_id
+        if not lengths.any():
+            raise EmptyDataError(
+                f"treatment {tid!r}: no observations after burn_in={burn_in}"
+            )
+        if not (lengths >= 2).any():
+            raise AllSessionsTooShortError(
+                f"treatment {tid!r}: no transition pairs after burn_in={burn_in}"
+            )
+        return lengths
 
 
 @dataclass(frozen=True)
@@ -168,20 +244,25 @@ class MarkovEstimate:
 
     def __post_init__(self):
         r = self.space.size
-        dos = _readonly(np.asarray(self.dos, dtype=float))
-        transition = _readonly(np.asarray(self.transition, dtype=float))
-        counts = _readonly(np.asarray(self.counts, dtype=np.int64))
-        occupancy = _readonly(np.asarray(self.occupancy, dtype=np.int64))
-        outflow = _readonly(np.asarray(self.has_outflow, dtype=bool))
-        for name, arr, shape in (
-            ("dos", dos, (r,)),
-            ("transition", transition, (r, r)),
-            ("counts", counts, (r, r)),
-            ("occupancy", occupancy, (r,)),
-            ("has_outflow", outflow, (r,)),
+        dos, transition, counts, occupancy, outflow = _freeze(
+            self,
+            dos=float,
+            transition=float,
+            counts=np.int64,
+            occupancy=np.int64,
+            has_outflow=bool,
+        )
+        for name, shape in (
+            ("dos", (r,)),
+            ("transition", (r, r)),
+            ("counts", (r, r)),
+            ("occupancy", (r,)),
+            ("has_outflow", (r,)),
         ):
-            if arr.shape != shape:
-                raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+            if getattr(self, name).shape != shape:
+                raise ValueError(
+                    f"{name} has shape {getattr(self, name).shape}, expected {shape}"
+                )
         if dos.min() < 0.0 or abs(float(dos.sum()) - 1.0) > 1e-12:
             raise ValueError("dos must be nonnegative and sum to 1 within 1e-12")
         row_sums = transition.sum(axis=1)
@@ -191,14 +272,6 @@ class MarkovEstimate:
             raise ValueError("rows of never-left states must be all-zero")
         if np.any((counts.sum(axis=1) > 0) & (occupancy == 0)):
             raise ValueError("counts out of a state imply nonzero occupancy")
-        for name, arr in (
-            ("dos", dos),
-            ("transition", transition),
-            ("counts", counts),
-            ("occupancy", occupancy),
-            ("has_outflow", outflow),
-        ):
-            object.__setattr__(self, name, arr)
 
     @classmethod
     def from_exact(
@@ -228,11 +301,43 @@ class StationarityDiagnostic:
     linf_distance: float
 
 
-def _retained(data: TreatmentDataset, burn_in: int) -> list[np.ndarray]:
-    if burn_in < 0:
-        raise ValueError("burn_in must be >= 0")
-    kept = [t.states[burn_in:] for t in data.sessions]
-    return [s for s in kept if s.size > 0]
+def _parts(data: TreatmentDataset, *widths: np.ndarray) -> np.ndarray:
+    """Each state's part of its session as int8: part k holds the next
+    widths[k] states of every session, and the widths sum to its length."""
+    labels = np.tile(np.arange(len(widths), dtype=np.int8), data.offsets.size - 1)
+    return np.repeat(labels, np.column_stack(widths).ravel())
+
+
+def pair_counts(
+    states: np.ndarray, ends: np.ndarray, r: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(occupancy, pair counts) of B sequences of states, shape (B, n), cut
+    into the same nonempty sessions, whose last states are at the indices
+    `ends` (increasing, the last n - 1).
+
+    One offset bincount of the pair codes s_t*r + s_{t+1}, computed in the
+    narrowest unsigned type that holds every bin, counts all B; a pair that
+    crosses a session boundary is coded as one extra bin and dropped. A
+    state's occupancy is its row sum of the counts plus the sessions that
+    end in it."""
+    b = states.shape[0]
+    size = b * r * r
+    cut = ends[:-1]
+    bins = size + (cut.size > 0)
+    code_type = np.uint8 if bins <= 2**8 else np.uint16 if bins <= 2**16 else np.int64
+    # states lie in [0, r), so narrowing the data's int64 states is exact
+    codes = np.multiply(states[:, :-1], r, dtype=code_type, casting="unsafe")
+    np.add(codes, states[:, 1:], out=codes, casting="unsafe")
+    if b > 1:
+        codes += np.arange(0, size, r * r, dtype=code_type)[:, None]
+    if cut.size:
+        codes[:, cut] = size
+    counts = np.bincount(codes.ravel(), minlength=bins)[:size].reshape(b, r, r)
+    last = states[:, ends] + np.arange(0, b * r, r)[:, None]
+    occupancy = counts.sum(axis=-1) + np.bincount(
+        last.ravel(), minlength=b * r
+    ).reshape(b, r)
+    return occupancy, counts
 
 
 def chain_from_counts(
@@ -263,25 +368,12 @@ def estimate_markov(data: TreatmentDataset, burn_in: int = 0) -> MarkovEstimate:
         EmptyDataError: nothing retained after burn-in.
         AllSessionsTooShortError: retained data contains no transition pair.
     """
-    r = data.space.size
-    occupancy = np.zeros(r, dtype=np.int64)
-    counts = np.zeros((r, r), dtype=np.int64)
-    n_obs = 0
-    for s in _retained(data, burn_in):
-        occupancy += np.bincount(s, minlength=r)
-        n_obs += int(s.size)
-        if s.size >= 2:
-            codes = s[:-1] * r + s[1:]
-            counts += np.bincount(codes, minlength=r * r).reshape(r, r)
-    if n_obs == 0:
-        raise EmptyDataError(
-            f"treatment {data.treatment_id!r}: no observations after burn_in={burn_in}"
-        )
-    if counts.sum() == 0:
-        raise AllSessionsTooShortError(
-            f"treatment {data.treatment_id!r}: no transition pairs after "
-            f"burn_in={burn_in}"
-        )
+    lengths = data.retained_lengths(burn_in)
+    states = data.states
+    if burn_in:
+        states = states[_parts(data, np.diff(data.offsets) - lengths, lengths) == 1]
+    ends = np.cumsum(lengths[lengths > 0]) - 1
+    [occupancy], [counts] = pair_counts(states[None], ends, data.space.size)
     dos, transition = chain_from_counts(occupancy, counts)
     return MarkovEstimate(
         space=data.space,
@@ -289,7 +381,7 @@ def estimate_markov(data: TreatmentDataset, burn_in: int = 0) -> MarkovEstimate:
         transition=transition,
         counts=counts,
         occupancy=occupancy,
-        n_observations=n_obs,
+        n_observations=int(states.size),
         has_outflow=counts.sum(axis=1) > 0,
     )
 
@@ -305,22 +397,12 @@ def stationarity_diagnostic(
     never block analysis. Raises the same errors as estimate_markov.
     """
     r = data.space.size
-    sessions = _retained(data, burn_in)
-    if not sessions:
-        raise EmptyDataError(
-            f"treatment {data.treatment_id!r}: no observations after burn_in={burn_in}"
-        )
-    if not any(s.size >= 2 for s in sessions):
-        raise AllSessionsTooShortError(
-            f"treatment {data.treatment_id!r}: no transition pairs after "
-            f"burn_in={burn_in}"
-        )
-    first = np.zeros(r, dtype=np.int64)
-    second = np.zeros(r, dtype=np.int64)
-    for s in sessions:
-        half = s.size // 2
-        first += np.bincount(s[:half], minlength=r)
-        second += np.bincount(s[half:], minlength=r)
+    lengths = data.retained_lengths(burn_in)
+    half = lengths // 2
+    # code each state with its part: burn-in, first half or second half
+    codes = data.states * 3
+    codes += _parts(data, np.diff(data.offsets) - lengths, half, lengths - half)
+    _, first, second = np.bincount(codes, minlength=3 * r).reshape(r, 3).T
     first_dos = first / max(int(first.sum()), 1)
     second_dos = second / max(int(second.sum()), 1)
     return StationarityDiagnostic(

@@ -16,27 +16,17 @@ Cells follow csv's default dialect and int(cell.strip()); invalid UTF-8 is
 a ParseError naming its line, and every error names the first offending
 line. load_csv reads the body in _BLOCK_BYTES blocks cut at line ends and
 parses each quote-free block with numpy, with the well-formed block as the
-cheap case. Line ends and commas are found by flatnonzero; line ends that
-are all \\n or all \\r\\n need no search for a lone \\r. When the commas
-fill a (rows, n_cols - 1) grid, one count and two bound comparisons check
-every row's column count; otherwise searchsorted counts them, only to find
-the first irregular row. A column of one-byte cells is one gather, longer
-digit cells are read by a digit loop, and other cells go through int() one
-at a time. Runs of rows sharing a (treatment, session) prefix are found
-with one word gather per 8 prefix bytes and looked up once per run; the
-row checks are array predicates, and a block whose runs are already in
-session order skips the reordering. From the first block with a quote on,
-csv.reader splits the rest, and whole columns of its rows are converted at
-once. Memory is bounded by one block's index arrays plus one small integer
-per row of states; no whole-file per-row array exists.
+cheap case (_line_bounds, _cell_bounds, _run_starts, _int_cells and
+_Records._take); from the first block with a quote on, csv.reader splits
+the rest. Memory is one block's index arrays plus one small integer per
+row of states, until each treatment's session bytes are joined once into
+the int64 states of its TreatmentDataset.
 
-write_csv writes the bytes csv.writer would, without a writer call or a
-string concatenation per row: each session's id prefix is built once (by
-csv only when an id holds a comma, quote or line end),
-every state maps to a precomputed row tail, and a batch of at most
-_WRITE_BATCH_ROWS rows is one join over a list that interleaves the
-prefix, the round texts and the tails, so memory beyond the states does
-not grow with session length.
+write_csv walks each dataset's session offsets and writes the bytes
+csv.writer would: each session's id prefix is built once (_csv_prefix),
+every state maps to a precomputed row tail, and each batch of at most
+_WRITE_BATCH_ROWS rows is one join, so memory beyond the states does not
+grow with session length.
 
 Reports are a single strict JSON document (no NaN or Infinity); floats
 serialize via repr (17 significant digits), so write-then-parse round-trips
@@ -65,7 +55,6 @@ import numpy as np
 
 from .core import (
     StateSpace,
-    Trajectory,
     TreatmentDataset,
     is_square_2x2,
     square_2x2,
@@ -470,9 +459,9 @@ class _Records:
         self.n_cols = len(_ACTION_HEADER if action_encoding else _STATE_HEADER)
         # the smallest signed type that holds every state in [0, r)
         self.dtype = np.min_scalar_type(-r)
-        # (treatment, session) -> [last round, states as self.dtype bytes],
-        # in the order of each session's first row
-        self.sessions: dict[tuple[str, str], list] = {}
+        # treatment -> session -> [last round, states as self.dtype bytes],
+        # in the order of each one's first row
+        self.treatments: dict[str, dict[str, list]] = {}
         # raw 'treatment,session' bytes of a row -> its session key
         self.keys: dict[bytes, tuple[str, str]] = {}
 
@@ -584,7 +573,10 @@ class _Records:
         # by session lists every session's rows together, in file order
         local = {key: i for i, key in enumerate(dict.fromkeys(rows.keys))}
         run_session = list(map(local.__getitem__, rows.keys))
-        sessions = [self.sessions.setdefault(key, [0, bytearray()]) for key in local]
+        sessions = [
+            self.treatments.setdefault(tid, {}).setdefault(sid, [0, bytearray()])
+            for tid, sid in local
+        ]
         runs = sorted(range(len(run_session)), key=run_session.__getitem__)
         bounds = np.append(rows.run_starts, rnd.size)
         starts, lengths = bounds[runs], (bounds[1:] - bounds[:-1])[runs]
@@ -611,12 +603,14 @@ class _Records:
         # rows before `stop` are a prefix of each session's group
         valid = slice(stop) if isinstance(order, slice) else order < stop
         group, rnd, first = group[valid], rnd[valid], first[valid]
-        states = state[order][valid].astype(self.dtype)
-        heads = np.flatnonzero(first).tolist()
-        for lo, hi in zip(heads, heads[1:] + [rnd.size]):
-            session = sessions[group[lo]]
-            session[0] = int(rnd[hi - 1])
-            session[1] += states[lo:hi].tobytes()
+        data = state[order][valid].astype(self.dtype).tobytes()
+        heads = np.append(np.flatnonzero(first), rnd.size)
+        cuts = (heads * self.dtype.itemsize).tolist()
+        lasts = rnd[heads[1:] - 1].tolist()
+        for g, lo, hi, last in zip(group[heads[:-1]].tolist(), cuts, cuts[1:], lasts):
+            session = sessions[g]
+            session[0] = last
+            session[1] += data[lo:hi]
         if stop < rows.lines.size:
             self._raise_row_error(rows.cells(stop), int(rows.lines[stop]))
 
@@ -638,7 +632,7 @@ class _Records:
         rnd = number(2, "round")
         if rnd < 1:
             raise ParseError(f"round must be >= 1, got {rnd}", line)
-        if rnd <= self.sessions.get((tid, sid), [0])[0]:
+        if rnd <= self.treatments.get(tid, {}).get(sid, [0])[0]:
             raise NonMonotoneRoundsError(
                 f"round {rnd} does not increase within session {sid!r} "
                 f"of treatment {tid!r}",
@@ -658,14 +652,19 @@ class _Records:
         raise AssertionError(f"line {line} was flagged but passes every check")
 
     def datasets(self, space: StateSpace) -> list[TreatmentDataset]:
-        treatments: dict[str, list[Trajectory]] = {}
-        for (tid, sid), (_, states) in self.sessions.items():
-            states = np.frombuffer(states, dtype=self.dtype).astype(np.int64)
-            treatments.setdefault(tid, []).append(Trajectory(sid, states))
-        return [
-            TreatmentDataset(treatment_id=tid, space=space, sessions=tuple(trajs))
-            for tid, trajs in treatments.items()
-        ]
+        """One dataset per treatment. Each treatment's session bytes are
+        joined once and freed before its int64 states are made, so
+        treatments are taken last first, off the end of the dict."""
+        datasets = []
+        while self.treatments:
+            tid, sessions = self.treatments.popitem()
+            ids, chunks = tuple(sessions), [chunk for _, chunk in sessions.values()]
+            offsets = np.cumsum([0, *map(len, chunks)]) // self.dtype.itemsize
+            joined = b"".join(chunks)
+            del sessions, chunks
+            states = np.frombuffer(joined, self.dtype).astype(np.int64)
+            datasets.append(TreatmentDataset(tid, space, states, offsets, ids))
+        return datasets[::-1]
 
 
 def write_csv(datasets, path, encoding: str = "state") -> None:
@@ -687,7 +686,7 @@ def write_csv(datasets, path, encoding: str = "state") -> None:
     actions = encoding == "actions"
     if actions and not all(is_square_2x2(data.space) for data in datasets):
         raise ValueError("action encoding requires the 4-state square convention")
-    longest = max((len(t) for d in datasets for t in d.sessions), default=0)
+    longest = max((np.diff(d.offsets).max(initial=0) for d in datasets), default=0)
     rounds = [str(k) for k in range(1, min(longest, _WRITE_BATCH_ROWS) + 1)]
     with _atomic_text(Path(path), "") as fh:
         csv.writer(fh).writerow(_ACTION_HEADER if actions else _STATE_HEADER)
@@ -696,17 +695,18 @@ def write_csv(datasets, path, encoding: str = "state") -> None:
                 tails = [f",{s // 2},{s % 2}\r\n" for s in range(4)]
             else:
                 tails = [f",{s}\r\n" for s in range(data.space.size)]
-            for traj in data.sessions:
-                prefix = _csv_prefix(data.treatment_id, traj.session_id)
-                for lo in range(0, len(traj), _WRITE_BATCH_ROWS):
-                    states = traj.states[lo : lo + _WRITE_BATCH_ROWS].tolist()
+            bounds = data.offsets.tolist()
+            for sid, start, stop in zip(data.session_ids, bounds, bounds[1:]):
+                prefix = _csv_prefix(data.treatment_id, sid)
+                for lo in range(start, stop, _WRITE_BATCH_ROWS):
+                    hi = min(lo + _WRITE_BATCH_ROWS, stop)
                     # row k is parts[3k] + parts[3k+1] + parts[3k+2]
-                    parts = [prefix] * (3 * len(states))
-                    if lo == 0:
-                        parts[1::3] = rounds[: len(states)]
+                    parts = [prefix] * (3 * (hi - lo))
+                    if lo == start:
+                        parts[1::3] = rounds[: hi - lo]
                     else:
-                        parts[1::3] = map(str, range(lo + 1, lo + len(states) + 1))
-                    parts[2::3] = [tails[s] for s in states]
+                        parts[1::3] = map(str, range(lo - start + 1, hi - start + 1))
+                    parts[2::3] = [tails[s] for s in data.states[lo:hi].tolist()]
                     fh.write("".join(parts))
 
 

@@ -14,12 +14,14 @@ is re-keyed to each in turn; Seed.split and Seed.generator stay the
 definition of the stream.
 
 Replicates are drawn in blocks: one (B, n) array of at most _BLOCK_DRAWS
-uniforms, mapped to states, and one offset bincount of the pair codes of
-all B replicates. Occupancy is taken from that bincount's row sums plus
-each session's last state. States and pair codes are held in the narrowest
-integer type that fits them. The counts of consecutive blocks are gathered
-in groups of up to _GROUP_CELLS pair counts, and each group's chains and
-observables are evaluated in one batched call.
+uniforms, mapped to flat (B, n) states laid out like a dataset's (the
+i.i.d. null as one session, the independent-play null as equal-length
+sessions one after another), and counted by core.pair_counts, the kernel
+estimate_markov uses, with the index of each session's last state. States
+are held in the narrowest integer type that fits them. The counts of
+consecutive blocks are gathered in groups of up to _GROUP_CELLS pair
+counts, and each group's chains and observables are evaluated in one
+batched call.
 
 A uniform u maps to the state that counts the cumulative-probability cuts
 at or below it (_cuts). The nulls compare whole blocks against the cuts.
@@ -48,6 +50,7 @@ from .core import (
     TreatmentDataset,
     chain_from_counts,
     is_square_2x2,
+    pair_counts,
 )
 from .errors import InvalidDistributionError
 from .observables import ZeroFluxPolicy, entropy_batch, epr_batch
@@ -414,15 +417,7 @@ def simulate_vnm(
         )
     shape = (params.sessions, 2, params.rounds_per_session)
     states = _vnm_states(seed.generator().random(shape), params.p, params.q)
-    return TreatmentDataset(
-        treatment_id=treatment_id,
-        space=space,
-        sessions=tuple(
-            Trajectory(session_id=f"s{k + 1}", states=s)
-            for k, s in enumerate(states)
-        ),
-        meta={"model": "vnm", "p": params.p, "q": params.q},
-    )
+    return TreatmentDataset.from_rows(treatment_id, space, states)
 
 
 def _uniforms(seed: Seed):
@@ -463,39 +458,18 @@ def _uniforms(seed: Seed):
     return uniforms
 
 
-def _block_counts(states: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """(occupancy, pair counts) of B replicates from states of shape
-    (B, sessions, rounds).
-
-    One offset bincount of the pair codes s_t*r + s_{t+1} gives every
-    replicate's within-session pair counts; a state's occupancy is its row
-    sum of those counts plus the sessions that end in it. The codes are
-    computed in the narrowest unsigned type that holds B*r*r.
-    """
-    b = states.shape[0]
-    size = b * r * r
-    code_type = np.uint8 if size <= 2**8 else np.uint16 if size <= 2**16 else np.int64
-    codes = np.multiply(states[:, :, :-1], r, dtype=code_type)
-    codes += states[:, :, 1:]
-    if b > 1:
-        codes += np.arange(0, size, r * r, dtype=code_type)[:, None, None]
-    counts = np.bincount(codes.ravel(), minlength=size).reshape(b, r, r)
-    last = states[:, :, -1] + np.arange(0, b * r, r)[:, None]
-    occupancy = counts.sum(axis=-1) + np.bincount(
-        last.ravel(), minlength=b * r
-    ).reshape(b, r)
-    return occupancy, counts
-
-
-def _replicate_chains(lo: int, hi: int, r: int, draws: int, block_states):
+def _replicate_chains(
+    lo: int, hi: int, r: int, draws: int, ends: np.ndarray, block_states
+):
     """Yield (rows, dos, flux) for consecutive groups of the replicates
     [lo, hi): rows slices the group out of an array over [lo, hi), and
     dos and flux have shapes (G, r) and (G, r, r).
 
     block_states(start, stop) returns the states of one draw block of at
-    most _BLOCK_DRAWS uniforms, shape (B, sessions, rounds). A group gathers
-    the counts of whole blocks, up to _GROUP_CELLS pair counts, so that
-    chains and observables are evaluated once per group, not once per block.
+    most _BLOCK_DRAWS uniforms, shape (B, n), whose sessions end at the
+    indices `ends` (see core.pair_counts). A group gathers the counts of
+    whole blocks, up to _GROUP_CELLS pair counts, so that chains and
+    observables are evaluated once per group, not once per block.
     """
     block = max(1, _BLOCK_DRAWS // draws)
     group = block * max(1, _GROUP_CELLS // (block * r * r))
@@ -506,8 +480,8 @@ def _replicate_chains(lo: int, hi: int, r: int, draws: int, block_states):
         for start in range(group_lo, group_hi, block):
             stop = min(start + block, group_hi)
             rows = slice(start - group_lo, stop - group_lo)
-            occupancy[rows], counts[rows] = _block_counts(
-                block_states(start, stop), r
+            occupancy[rows], counts[rows] = pair_counts(
+                block_states(start, stop), ends, r
             )
         dos, transition = chain_from_counts(occupancy, counts)
         yield slice(group_lo - lo, group_hi - lo), dos, dos[:, :, None] * transition
@@ -520,17 +494,18 @@ def _vnm_chunk(
     lo: int,
     hi: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    shape = (params.sessions, 2, params.rounds_per_session)
-    draws = 2 * params.sessions * params.rounds_per_session
+    rounds = params.rounds_per_session
+    n = params.sessions * rounds
     uniforms = _uniforms(seed)
 
     def block_states(start: int, stop: int) -> np.ndarray:
-        u = uniforms(start, stop, draws).reshape(-1, *shape)
-        return _vnm_states(u, params.p, params.q)
+        u = uniforms(start, stop, 2 * n).reshape(-1, params.sessions, 2, rounds)
+        return _vnm_states(u, params.p, params.q).reshape(-1, n)
 
+    ends = np.arange(rounds - 1, n, rounds)
     ent = np.empty(hi - lo)
     pro = np.empty(hi - lo)
-    for rows, dos, flux in _replicate_chains(lo, hi, 4, draws, block_states):
+    for rows, dos, flux in _replicate_chains(lo, hi, 4, 2 * n, ends, block_states):
         ent[rows] = entropy_batch(dos)
         pro[rows], _ = epr_batch(flux, policy)
     return ent, pro
@@ -553,10 +528,12 @@ def _dos_chunk(
         states = np.zeros(u.shape, dtype=state_type)
         for cut in cuts:
             states += u >= cut
-        return states[:, None, :]
+        return states
 
+    ends = np.array([n_rounds - 1])
     out = np.empty(hi - lo)
-    for rows, _, flux in _replicate_chains(lo, hi, dos.size, n_rounds, block_states):
+    chains = _replicate_chains(lo, hi, dos.size, n_rounds, ends, block_states)
+    for rows, _, flux in chains:
         out[rows], _ = epr_batch(flux, policy)
     return out
 

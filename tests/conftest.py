@@ -42,7 +42,7 @@ def make_dataset(sessions, space=None, treatment_id="t") -> TreatmentDataset:
         Trajectory(session_id=f"s{i + 1}", states=np.asarray(s, dtype=np.int64))
         for i, s in enumerate(sessions)
     )
-    return TreatmentDataset(treatment_id=treatment_id, space=space, sessions=trajs)
+    return TreatmentDataset.from_sessions(treatment_id=treatment_id, space=space, sessions=trajs)
 
 
 def ring_estimate() -> MarkovEstimate:

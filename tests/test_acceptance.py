@@ -92,7 +92,7 @@ def test_criterion_2_ring_closed_form():
 def test_criterion_3_estimator_consistency():
     t0 = time.perf_counter()
     traj = simulate_chain(np.full(3, 1 / 3), RING_TRANSITION, 1_000_000, Seed(3001))
-    est = estimate_markov(TreatmentDataset("ring", triangle_3(), (traj,)))
+    est = estimate_markov(TreatmentDataset.from_sessions("ring", triangle_3(), (traj,)))
     value, _ = epr(est, SKIP)
     ent = entropy(est)
     rel_err = abs(value - RING_EPR) / RING_EPR
@@ -128,7 +128,7 @@ def test_criterion_4_bias_baseline_decay():
 def _cycle_mc_p(states: np.ndarray, reps: int, seed: Seed) -> float:
     """The cycle-test decision quantity for a single-session treatment."""
     est = estimate_markov(
-        TreatmentDataset("t", square_2x2(), (traj_from(states),))
+        TreatmentDataset.from_sessions("t", square_2x2(), (traj_from(states),))
     )
     value, _ = epr(est, SKIP)
     baseline = dos_baseline(est.dos, est.n_observations, reps, SKIP, seed)
@@ -245,7 +245,7 @@ def test_criterion_6_minimax_size_and_power(tmp_path):
             for s in range(2)
         )
         driven_sets.append(
-            TreatmentDataset(f"D{idx + 1:02d}", square_2x2(), trajs)
+            TreatmentDataset.from_sessions(f"D{idx + 1:02d}", square_2x2(), trajs)
         )
     driven_csv = tmp_path / "driven16.csv"
     driven_out = tmp_path / "mm_driven.json"

@@ -94,7 +94,7 @@ def loop_load_csv(path, space: StateSpace) -> list[TreatmentDataset]:
                 raise StateOutOfRangeError(f"state {state} outside [0, {r})", line)
             treatments.setdefault(tid, {}).setdefault(sid, []).append(state)
     return [
-        TreatmentDataset(
+        TreatmentDataset.from_sessions(
             treatment_id=tid,
             space=space,
             sessions=tuple(

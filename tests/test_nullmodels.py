@@ -52,7 +52,7 @@ def loop_dos_baseline(dos, n_rounds, reps, policy, seed):
     for k in range(reps):
         u = seed.split(k).generator().random(n_rounds)
         states = np.minimum(np.searchsorted(cum, u, side="right"), r - 1)
-        data = TreatmentDataset("baseline", space, (Trajectory("s1", states),))
+        data = TreatmentDataset.from_sessions("baseline", space, (Trajectory("s1", states),))
         samples.append(epr(estimate_markov(data), policy)[0])
     return np.array(samples)
 
@@ -75,7 +75,7 @@ def loop_vnm_null(params, reps, policy, seed):
             rows = rng.random(params.rounds_per_session) < params.p
             cols = rng.random(params.rounds_per_session) < params.q
             sessions.append(Trajectory(f"s{s + 1}", 2 * rows.astype(int) + cols))
-        est = estimate_markov(TreatmentDataset("vnm", square_2x2(), tuple(sessions)))
+        est = estimate_markov(TreatmentDataset.from_sessions("vnm", square_2x2(), tuple(sessions)))
         ent.append(entropy(est))
         pro.append(epr(est, policy)[0])
     return np.array(ent), np.array(pro)
@@ -233,7 +233,7 @@ class TestSimulateChain:
         n = 200_000
         traj = simulate_chain([0.25] * 4, transition, n, Seed(2718))
         est = estimate_markov(
-            TreatmentDataset("sim", square_2x2(), (traj,))
+            TreatmentDataset.from_sessions("sim", square_2x2(), (traj,))
         )
         for i in range(4):
             visits = int(est.counts[i].sum())

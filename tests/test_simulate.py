@@ -258,7 +258,7 @@ def record_sets(draw):
             Trajectory(draw(ids), rng.integers(0, space.size, draw(session_lengths)))
             for _ in range(draw(st.integers(0, 3)))
         )
-        datasets.append(TreatmentDataset(draw(ids), space, sessions))
+        datasets.append(TreatmentDataset.from_sessions(draw(ids), space, sessions))
     return datasets, encoding
 
 
@@ -285,7 +285,7 @@ def test_sessions_across_the_batch_boundary_byte_identical(tmp_path, encoding):
         Trajectory(f"s{n}", rng.integers(0, 4, n))
         for n in (batch - 1, batch, batch + 1, 2 * batch + 3, 5)
     )
-    datasets = [TreatmentDataset('t,"1"', square_2x2(), sessions)]
+    datasets = [TreatmentDataset.from_sessions('t,"1"', square_2x2(), sessions)]
     write_csv(datasets, tmp_path / "new.csv", encoding=encoding)
     loop_write_csv(datasets, tmp_path / "old.csv", encoding=encoding)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
@@ -311,7 +311,7 @@ def test_empty_dataset_list_writes_the_header(tmp_path):
 
 def _write_peak_bytes(tmp_path, n: int) -> int:
     states = np.random.default_rng(1).integers(0, 4, n)
-    datasets = [TreatmentDataset("t", square_2x2(), (Trajectory("s", states),))]
+    datasets = [TreatmentDataset.from_sessions("t", square_2x2(), (Trajectory("s", states),))]
     tracemalloc.start()
     try:
         write_csv(datasets, tmp_path / f"{n}.csv", encoding="actions")
