@@ -8,6 +8,7 @@ line. Exit codes: 0 success, 1 data/config error, 2 internal error.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
@@ -36,7 +37,7 @@ from .dataio import (
     write_csv,
     write_report,
 )
-from .errors import ChainfluxError, ConfigError, ZeroVarianceError
+from .errors import ChainfluxError, ConfigError, EmptyDataError, ZeroVarianceError
 from .nullmodels import (
     SQUARE_CYCLE_ORDER,
     Seed,
@@ -150,12 +151,15 @@ def _safe_test(fn, *args, **kwargs) -> dict:
 
 def _run(config: AnalysisConfig, command: str, treat, across=None) -> dict:
     """The pipeline every analysis command runs: check the report path, load
-    the records, build one report entry per treatment with
-    `treat(config, index, data)`, derive `(tests, fits, summary_extras)`
-    from all entries with `across(entries)`, write the report once, and
-    return the stdout summary."""
+    the records (a file without any is an EmptyDataError), build one report
+    entry per treatment with `treat(config, index, data)`, derive
+    `(tests, fits, summary_extras)` from all entries with `across(entries)`,
+    write the report once, and return the stdout summary."""
     check_report_path(config.output)
     datasets = load_csv(config.input, config.space)
+    if not datasets:
+        name = os.path.basename(config.input)
+        raise EmptyDataError(f"{name}: no records after the header")
     _progress(f"loaded {len(datasets)} treatment(s) from {config.input}")
     entries = [treat(config, idx, data) for idx, data in enumerate(datasets)]
     tests, fits, extras = across(entries) if across else ({}, {}, {})
@@ -619,7 +623,11 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    code = main()
+    # interpreter shutdown then skips walking and freeing the objects that
+    # numpy, click and chainflux made at import
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

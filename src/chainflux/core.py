@@ -20,7 +20,6 @@ from .errors import AllSessionsTooShortError, EmptyDataError, StateOutOfRangeErr
 
 __all__ = [
     "StateSpace",
-    "Trajectory",
     "TreatmentDataset",
     "MarkovEstimate",
     "StationarityDiagnostic",
@@ -34,8 +33,10 @@ __all__ = [
 ]
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
+def _readonly(arr, dtype=None) -> np.ndarray:
+    """A read-only contiguous view of arr as dtype; the caller's array stays
+    as it was."""
+    arr = np.ascontiguousarray(arr, dtype).view()
     arr.flags.writeable = False
     return arr
 
@@ -44,7 +45,7 @@ def _freeze(obj, **dtypes) -> list[np.ndarray]:
     """Make each named field of a frozen dataclass a read-only array of its
     dtype; return the arrays in order."""
     for name, dtype in dtypes.items():
-        object.__setattr__(obj, name, _readonly(np.asarray(getattr(obj, name), dtype)))
+        object.__setattr__(obj, name, _readonly(getattr(obj, name), dtype))
     return [getattr(obj, name) for name in dtypes]
 
 
@@ -112,24 +113,6 @@ def triangle_3() -> StateSpace:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """One session's ordered state sequence."""
-
-    session_id: str
-    states: np.ndarray
-
-    def __post_init__(self):
-        [states] = _freeze(self, states=np.int64)
-        if states.ndim != 1:
-            raise ValueError("states must be a 1-D sequence")
-        if states.size and states.min() < 0:
-            raise ValueError("state indices must be nonnegative")
-
-    def __len__(self) -> int:
-        return int(self.states.size)
-
-
-@dataclass(frozen=True)
 class TreatmentDataset:
     """All sessions of one treatment over a shared state space, in one flat
     layout: session k is states[offsets[k]:offsets[k + 1]], named
@@ -167,12 +150,12 @@ class TreatmentDataset:
 
     @classmethod
     def from_sessions(cls, treatment_id: str, space: StateSpace, sessions):
-        """Dataset of the given Trajectory sessions, in order."""
-        sessions = tuple(sessions)
-        states = np.concatenate([np.zeros(0, np.int64), *(t.states for t in sessions)])
-        offsets = np.cumsum([0, *map(len, sessions)])
-        ids = [t.session_id for t in sessions]
-        return cls(treatment_id, space, states, offsets, ids)
+        """Dataset of an ordered mapping {session_id: states}, one session
+        per entry, in order."""
+        chunks = [np.asarray(states, dtype=np.int64) for states in sessions.values()]
+        states = np.concatenate([np.zeros(0, np.int64), *chunks])
+        offsets = np.cumsum([0, *map(len, chunks)])
+        return cls(treatment_id, space, states, offsets, list(sessions))
 
     @classmethod
     def from_rows(cls, treatment_id: str, space: StateSpace, states: np.ndarray):
@@ -182,15 +165,6 @@ class TreatmentDataset:
         offsets = np.arange(sessions + 1) * rounds
         ids = [f"s{k + 1}" for k in range(sessions)]
         return cls(treatment_id, space, states.ravel(), offsets, ids)
-
-    @property
-    def sessions(self) -> tuple[Trajectory, ...]:
-        """Each session as a Trajectory over a slice of states."""
-        bounds = self.offsets.tolist()
-        return tuple(
-            Trajectory(sid, self.states[lo:hi])
-            for sid, lo, hi in zip(self.session_ids, bounds, bounds[1:])
-        )
 
     @property
     def n_rounds(self) -> int:

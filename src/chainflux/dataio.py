@@ -14,13 +14,13 @@ within one file.
 
 Cells follow csv's default dialect and int(cell.strip()); invalid UTF-8 is
 a ParseError naming its line, and every error names the first offending
-line. load_csv reads the body in _BLOCK_BYTES blocks cut at line ends and
-parses each quote-free block with numpy, with the well-formed block as the
-cheap case (_line_bounds, _cell_bounds, _run_starts, _int_cells and
-_Records._take); from the first block with a quote on, csv.reader splits
-the rest. Memory is one block's index arrays plus one small integer per
-row of states, until each treatment's session bytes are joined once into
-the int64 states of its TreatmentDataset.
+line. load_csv reads the body in _BLOCK_BYTES blocks cut at line ends.
+A strict block (see _Records._scan) is parsed with numpy (_line_bounds,
+_cell_bounds, _run_starts, _int_cells and _Records._take); csv.reader reads
+any other quote-free block on its own, and every block from the first with
+a quote on (_Records.add_csv). Memory is one block's index arrays plus one
+small integer per row of states, until each treatment's session bytes are
+joined once into the int64 states of its TreatmentDataset.
 
 write_csv walks each dataset's session offsets and writes the bytes
 csv.writer would: each session's id prefix is built once (_csv_prefix),
@@ -94,15 +94,15 @@ _BUILTIN_SPACES = {"square": square_2x2, "triangle": triangle_3}
 # one peaks at about 130 bytes per row (tracemalloc, 17-byte action rows),
 # so 64 KiB keeps it near 0.5 MB; larger blocks were no faster on 10^6 rows.
 _BLOCK_BYTES = 1 << 16
-# Rows per validation batch once a quote sends the rest of a file through csv.
-_QUOTED_BATCH_ROWS = 4096
+# Rows per validation batch of the rows csv reads.
+_CSV_BATCH_ROWS = 4096
 # Rows per write in write_csv; bounds its memory for any session length.
 _WRITE_BATCH_ROWS = 1 << 16
 _BOM = b"\xef\xbb\xbf"
 _LINE_END = re.compile(rb"\r\n|\r|\n")
 # Characters for which csv.writer's default dialect quotes a cell.
 _CSV_QUOTED = re.compile(r'[,"\r\n]')
-# Longest digit string that always fits in int64; longer cells go via int().
+# Longest digit string that always fits in int64; longer cells go via csv.
 _MAX_DIGITS = 18
 _INT64 = np.iinfo(np.int64)
 # _LOW_BYTES[k]: a uint64 mask of the low k bytes, 0 <= k <= 8
@@ -224,7 +224,7 @@ def load_csv(path, space: StateSpace) -> list[TreatmentDataset]:
         line = lines.line + 1
         for block in body:
             if b'"' in block:
-                records.add_quoted(itertools.chain([block], body), line)
+                records.add_csv(itertools.chain([block], body), line)
                 break
             line = records.add_block(block, line)
 
@@ -354,9 +354,9 @@ def _int_array(values: list[int]) -> np.ndarray:
     return np.array(values, dtype=object if wide else np.int64)
 
 
-def _line_bounds(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start and stop (before the line end) of each line of a block, split
-    where csv splits lines: at \\n, \\r\\n and a lone \\r."""
+def _line_bounds(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Start and stop (before the line end) of each line of a block whose
+    line ends are all \\n or all \\r\\n; None for any other block."""
     ends = np.flatnonzero(a == 10)
     n_cr = np.count_nonzero(a == 13)
     if not n_cr:
@@ -364,35 +364,26 @@ def _line_bounds(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     elif n_cr == ends.size and ends[0] and (a[ends - 1] == 13).all():
         stops = ends - 1  # every line ends with CRLF
     else:
-        cr = np.flatnonzero(a == 13)
-        lone = cr[(cr + 1 == a.size) | (a[np.minimum(cr + 1, a.size - 1)] != 10)]
-        if lone.size:
-            mark = a == 10
-            mark[lone] = True
-            ends = np.flatnonzero(mark)
-        stops = ends - ((a[ends] == 10) & (a[ends - 1] == 13) & (ends > 0))
+        return None
     closed = ends.size and ends[-1] == a.size - 1  # the last line has an end
     starts = np.zeros(ends.size + (not closed), dtype=ends.dtype)
     starts[1:] = ends[: starts.size - 1] + 1
     return starts, stops if closed else np.append(stops, a.size)
 
 
-def _cell_bounds(a, starts, stops, n_cols: int) -> tuple[int, list[np.ndarray]]:
-    """The number m of rows before the first whose comma count is not
-    n_cols - 1, and their cell bounds: cell j of row i is bytes
-    bounds[j][i] + 1 up to bounds[j + 1][i]."""
+def _cell_bounds(a, starts, stops, n_cols: int) -> list[np.ndarray] | None:
+    """Cell bounds of rows whose commas, and the block's, form the
+    (rows, n_cols - 1) grid: cell j of row i is bytes bounds[j][i] + 1 up to
+    bounds[j + 1][i]. None for any other rows."""
     commas = np.flatnonzero(a == ord(","))
-    if commas.size == starts.size * (n_cols - 1):
-        # each row holds at least the n_cols - 1 commas of its grid row, so
-        # with this total, exactly those
-        grid = commas.reshape(starts.size, n_cols - 1)
-        if (grid[:, 0] >= starts).all() and (grid[:, -1] < stops).all():
-            return starts.size, [starts - 1, *grid.T, stops]
-    first = np.searchsorted(commas, starts)
-    wrong = np.flatnonzero(np.searchsorted(commas, stops) - first != n_cols - 1)
-    m = int(wrong[0]) if wrong.size else starts.size
-    cuts = [commas[first[:m] + j] for j in range(n_cols - 1)]
-    return m, [starts[:m] - 1, *cuts, stops[:m]]
+    if commas.size != starts.size * (n_cols - 1):
+        return None
+    # each row holds at least the n_cols - 1 commas of its grid row, so with
+    # this total, exactly those
+    grid = commas.reshape(starts.size, n_cols - 1)
+    if (grid[:, 0] >= starts).all() and (grid[:, -1] < stops).all():
+        return [starts - 1, *grid.T, stops]
+    return None
 
 
 def _run_starts(buf, starts, width) -> np.ndarray:
@@ -411,32 +402,26 @@ def _run_starts(buf, starts, width) -> np.ndarray:
     return np.flatnonzero(~same)
 
 
-def _int_cells(block: bytes, buf, begin, end) -> tuple[np.ndarray, np.ndarray]:
-    """(values, parsed) of the cells block[begin:end]: plain ASCII digit
-    strings are read with numpy from `buf`, the block followed by at least
-    _MAX_DIGITS bytes, and any other cell with _ints."""
+def _int_cells(buf, begin, end) -> np.ndarray | None:
+    """The int64 values of the cells buf[begin:end], read with numpy from
+    `buf`, a block followed by at least _MAX_DIGITS bytes; None unless every
+    cell is 1 to _MAX_DIGITS ASCII digits."""
     n = end - begin
     if (n == 1).all():  # one byte per cell: one gather
         d = buf[begin] - np.uint8(ord("0"))
-        values, plain = d.astype(np.int64), d <= 9
-    else:
-        plain = (n > 0) & (n <= _MAX_DIGITS)
-        values = np.zeros(n.size, dtype=np.int64)
-        top = np.zeros(n.size, dtype=np.uint8)  # largest byte - '0' read
-        short = int(n.min(initial=_MAX_DIGITS, where=plain))
-        for j in range(int(n.max(initial=0, where=plain))):
-            d = buf[j:][begin] - np.uint8(ord("0"))
-            inside = j < short or n > j  # True: every plain cell has byte j
-            np.maximum(top, d, out=top, where=inside)
-            np.multiply(values, 10, out=values, where=inside)
-            np.add(values, d, out=values, where=inside)
-        plain &= top <= 9
-    if not plain.all():
-        odd = np.flatnonzero(~plain)
-        more, parsed = _ints(block[begin[i] : end[i]].decode("utf-8") for i in odd)
-        values = values.astype(more.dtype, copy=False)
-        values[odd], plain[odd] = more, parsed
-    return values, plain
+        return d.astype(np.int64) if (d <= 9).all() else None
+    if not ((n > 0) & (n <= _MAX_DIGITS)).all():
+        return None
+    values = np.zeros(n.size, dtype=np.int64)
+    top = np.zeros(n.size, dtype=np.uint8)  # largest byte - '0' read
+    short = int(n.min())
+    for j in range(int(n.max())):
+        d = buf[j:][begin] - np.uint8(ord("0"))
+        inside = j < short or n > j  # True: every cell has byte j
+        np.maximum(top, d, out=top, where=inside)
+        np.multiply(values, 10, out=values, where=inside)
+        np.add(values, d, out=values, where=inside)
+    return values if (top <= 9).all() else None
 
 
 class _Rows(NamedTuple):
@@ -444,7 +429,8 @@ class _Rows(NamedTuple):
     wrong column count (whose error wins over any later row's)."""
 
     lines: np.ndarray  # line number of each row
-    numbers: list  # (values, parsed) of each column from `round` on
+    numbers: list  # values of each column from `round` on
+    parsed: np.ndarray | bool  # rows whose number cells all read as integers
     run_starts: np.ndarray  # rows whose two id cells differ from the row before
     keys: list  # stripped (treatment, session) of each run
     cells: Callable  # row index -> the row's cells as text
@@ -472,20 +458,20 @@ class _Records:
         return key
 
     def add_block(self, block: bytes, line: int) -> int:
-        """Add a quote-free block whose first line is `line`; return the
-        number of the line after it."""
-        block, bad = _utf8_lines(block)
-        if block:
-            rows, n_lines = self._scan(block, line)
-            self._take(rows)
-            line += n_lines
-        if bad:
-            raise _utf8_error(bad, line)
-        return line
+        """Add a quote-free block whose first line is `line`, with numpy if
+        it is strict and with csv if not; return the number of the line
+        after it."""
+        scanned = self._scan(block, line)
+        if scanned is None:
+            return self.add_csv([block], line)
+        rows, n_lines = scanned
+        self._take(rows)
+        return line + n_lines
 
-    def add_quoted(self, blocks, line: int) -> None:
+    def add_csv(self, blocks, line: int) -> int:
         """Add every row of `blocks`, whose first line is `line`, read by csv
-        (quotes may hide commas and line ends)."""
+        (quotes may hide commas and line ends); return the number of the
+        line after them."""
         failed: list[ParseError] = []
         reader = csv.reader(itertools.chain.from_iterable(_texts(blocks, line, failed)))
         line -= 1
@@ -497,21 +483,30 @@ class _Records:
                         break
                     batch.append(cells)
                     lines.append(line + reader.line_num)
-                    if len(batch) == _QUOTED_BATCH_ROWS:
+                    if len(batch) == _CSV_BATCH_ROWS:
                         break
             except csv.Error as exc:  # a field over csv.field_size_limit()
                 failed.append(ParseError(str(exc), line + reader.line_num))
             self._take(self._csv_rows(batch, lines))
-            if failed or len(batch) < _QUOTED_BATCH_ROWS:
+            if failed or len(batch) < _CSV_BATCH_ROWS:
                 break
         if failed:
             raise failed[0]
+        return line + reader.line_num + 1
 
-    def _scan(self, block: bytes, line: int) -> tuple[_Rows, int]:
-        """Split a quote-free block into rows and cells with numpy."""
+    def _scan(self, block: bytes, line: int) -> tuple[_Rows, int] | None:
+        """Split a strict block into rows and cells with numpy; None for any
+        other block. Strict: valid UTF-8, line ends all \\n or all \\r\\n,
+        the block's commas form the (rows, n_cols - 1) grid of its non-blank
+        rows, and every number cell is 1 to _MAX_DIGITS ASCII digits."""
+        if _utf8_lines(block)[1]:
+            return None
         buf = np.frombuffer(block + bytes(_MAX_DIGITS), dtype=np.uint8)
         a = buf[: len(block)]
-        starts, stops = _line_bounds(a)
+        bounds = _line_bounds(a)
+        if bounds is None:
+            return None
+        starts, stops = bounds
         n_lines = starts.size
         rows = np.arange(n_lines)
         keep = _TEXT_BYTE[a[starts]]
@@ -524,17 +519,20 @@ class _Records:
         def cells(i):
             return block[starts[i] : stops[i]].decode("utf-8").split(",")
 
-        m, bounds = _cell_bounds(a, starts, stops, self.n_cols)
-        run_starts = _run_starts(buf, starts[:m], bounds[2] - bounds[0] - 1)
+        bounds = _cell_bounds(a, starts, stops, self.n_cols)
+        if bounds is None:
+            return None
+        numbers = [
+            _int_cells(buf, bounds[j] + 1, bounds[j + 1]) for j in range(2, self.n_cols)
+        ]
+        if any(values is None for values in numbers):
+            return None
+        run_starts = _run_starts(buf, starts, bounds[2] - bounds[0] - 1)
         # each run's 'treatment,session' bytes, decoded once per distinct value
         lo, hi = (bounds[0][run_starts] + 1).tolist(), bounds[2][run_starts].tolist()
         prefixes = [block[i:j] for i, j in zip(lo, hi)]
         keys = [self.keys.get(p) or self._key(p) for p in prefixes]
-        numbers = [
-            _int_cells(block, buf, bounds[j] + 1, bounds[j + 1])
-            for j in range(2, self.n_cols)
-        ]
-        return _Rows(line + rows[: m + 1], numbers, run_starts, keys, cells), n_lines
+        return _Rows(line + rows, numbers, True, run_starts, keys, cells), n_lines
 
     def _csv_rows(self, batch: list[list[str]], lines: list[int]) -> _Rows:
         """The rows csv read, with C-level maps and zips over whole columns."""
@@ -547,9 +545,11 @@ class _Records:
         columns = list(zip(*batch[:m])) if m else [()] * self.n_cols
         ids = list(zip(columns[0], columns[1]))
         run_starts = np.flatnonzero([True, *map(operator.ne, ids[1:], ids)][:m])
+        numbers, parsed = zip(*(_ints(columns[j]) for j in range(2, self.n_cols)))
         return _Rows(
             np.array(lines[: m + 1], dtype=np.int64),
-            [_ints(columns[j]) for j in range(2, self.n_cols)],
+            list(numbers),
+            np.logical_and.reduce(parsed),
             run_starts,
             [(ids[i][0].strip(), ids[i][1].strip()) for i in run_starts],
             batch.__getitem__,
@@ -558,15 +558,15 @@ class _Records:
     def _take(self, rows: _Rows) -> None:
         """Check rows with array predicates and add them to their sessions;
         at the first failing row, raise that row's error."""
-        (rnd, ok), *rest = rows.numbers
+        rnd, *rest = rows.numbers
         if self.action_encoding:
-            (row_a, row_ok), (col_a, col_ok) = rest
+            row_a, col_a = rest
             # both actions are 0 or 1: no bit above the lowest is set
-            ok = ok & row_ok & col_ok & ((row_a | col_a) >> 1 == 0)
+            ok = rows.parsed & ((row_a | col_a) >> 1 == 0)
             state = 2 * row_a + col_a
         else:
-            [(state, state_ok)] = rest
-            ok = ok & state_ok & (state >= 0) & (state < self.r)
+            [state] = rest
+            ok = rows.parsed & (state >= 0) & (state < self.r)
         ok &= rnd >= 1
 
         # one dict lookup per run gives its session; sorting the runs stably
@@ -765,20 +765,33 @@ def check_report_path(path) -> None:
     """Fail early, before any work, when write_report could not create path.
 
     Raises:
-        ReportIoError: path is a directory, or its directory is missing or
-            not writable.
+        ReportIoError: path (or, for a symlink, its target) exists and is not
+            a regular file, or its directory is missing or not writable.
     """
     path = Path(path)
-    folder = path.parent
-    if path.is_dir():
-        reason = "it is a directory"
-    elif not folder.is_dir():
+    folder = _target(path, "report to ").parent
+    if not folder.is_dir():
         reason = f"no such directory {folder}"
     elif not os.access(folder, os.W_OK | os.X_OK):
         reason = f"directory {folder} is not writable"
     else:
         return
     raise ReportIoError(f"cannot write report to {path}: {reason}")
+
+
+def _target(path: Path, what: str) -> Path:
+    """The file that writing `path` replaces: the target of a symlink, so the
+    link stays, or else path itself.
+
+    Raises:
+        ReportIoError: it exists and is not a regular file (a directory, a
+            FIFO, a device), which a rename would swap for a file.
+    """
+    target = Path(os.path.realpath(path)) if path.is_symlink() else path
+    if target.exists() and not target.is_file():
+        kind = "a directory" if target.is_dir() else "not a regular file"
+        raise ReportIoError(f"cannot write {what}{path}: it is {kind}")
+    return target
 
 
 def write_report(
@@ -834,17 +847,19 @@ def _atomic_text(path: Path, what: str):
     """Yield a UTF-8 text file, without newline translation, that replaces
     `path` when the block ends.
 
-    The file is written as .<name>.<pid>.tmp beside the target and renamed
-    into place with os.replace, so the target is either the old file or the
-    complete new one. On any failure the temporary file is removed; an
-    OSError becomes ReportIoError("cannot write <what><path>: <reason>").
+    The file is written as .<name>.<pid>.tmp beside the target (see _target)
+    and renamed into place with os.replace, so the target is either the old
+    file or the complete new one. On any failure the temporary file is
+    removed; an OSError becomes ReportIoError("cannot write <what><path>:
+    <reason>").
     """
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    target = _target(path, what)
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         try:
             with open(tmp, "w", newline="", encoding="utf-8") as fh:
                 yield fh
-            os.replace(tmp, path)
+            os.replace(tmp, target)
         finally:
             tmp.unlink(missing_ok=True)
     except OSError as exc:

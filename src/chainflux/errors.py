@@ -13,7 +13,7 @@ class ConfigError(ChainfluxError):
 
 
 class EmptyDataError(ChainfluxError):
-    """No observations remain after burn-in."""
+    """No observations: the file holds none, or none remain after burn-in."""
 
 
 class AllSessionsTooShortError(ChainfluxError):

@@ -46,8 +46,8 @@ import numpy as np
 
 from .core import (
     StateSpace,
-    Trajectory,
     TreatmentDataset,
+    _freeze,
     chain_from_counts,
     is_square_2x2,
     pair_counts,
@@ -177,12 +177,9 @@ class BaselineDistribution:
     constraint_summary: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
+        [samples] = _freeze(self, samples=float)
         if samples.size == 0:
             raise ValueError("a baseline needs at least one sample")
-        samples = np.ascontiguousarray(samples)
-        samples.flags.writeable = False
-        object.__setattr__(self, "samples", samples)
 
     @property
     def reps(self) -> int:
@@ -195,9 +192,6 @@ class BaselineDistribution:
     @property
     def std(self) -> float:
         return float(self.samples.std(ddof=1)) if self.reps > 1 else 0.0
-
-    def quantile(self, q: float) -> float:
-        return float(np.quantile(self.samples, q))
 
 
 def _check_distribution(vec: np.ndarray, what: str) -> None:
@@ -304,10 +298,9 @@ def _lockstep_walk(cuts0: np.ndarray, cuts: np.ndarray, u: np.ndarray) -> np.nda
     return states
 
 
-def simulate_chain(
-    dos0, transition, n: int, seed: Seed, session_id: str = "sim"
-) -> Trajectory:
-    """Sample an n-step trajectory: s_0 ~ dos0, s_{t+1} ~ transition[s_t].
+def simulate_chain(dos0, transition, n: int, seed: Seed) -> np.ndarray:
+    """Sample the int64 states of an n-step chain: s_0 ~ dos0,
+    s_{t+1} ~ transition[s_t].
 
     Raises:
         InvalidDistributionError: dos0 or a transition row fails
@@ -319,7 +312,7 @@ def simulate_chain(
         raise ValueError("n must be >= 2")
     cuts0, cuts = _chain_cuts(dos0, transition)
     states = _bisect_walk(cuts0.tolist(), cuts.tolist(), seed.generator().random(n))
-    return Trajectory(session_id=session_id, states=np.array(states, dtype=np.int64))
+    return np.array(states, dtype=np.int64)
 
 
 def simulate_sessions(
@@ -330,7 +323,7 @@ def simulate_sessions(
     transitions[t], and draws from seed.split(t).split(s).
 
     dos0 has shape (T, r) and transitions (T, r, r). Returns int64 states
-    of shape (T, sessions, rounds). Sessions of one treatment equal
+    of shape (T, sessions, rounds); states[t, s] equals
     simulate_chain(dos0[t], transitions[t], rounds, seed.split(t).split(s)).
 
     Raises:

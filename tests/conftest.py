@@ -15,7 +15,6 @@ settings.load_profile("ci")
 from chainflux import (
     MarkovEstimate,
     StateSpace,
-    Trajectory,
     TreatmentDataset,
     square_2x2,
     triangle_3,
@@ -38,11 +37,13 @@ def make_dataset(sessions, space=None, treatment_id="t") -> TreatmentDataset:
     """Dataset from plain python lists of state indices."""
     if space is None:
         space = square_2x2()
-    trajs = tuple(
-        Trajectory(session_id=f"s{i + 1}", states=np.asarray(s, dtype=np.int64))
-        for i, s in enumerate(sessions)
-    )
-    return TreatmentDataset.from_sessions(treatment_id=treatment_id, space=space, sessions=trajs)
+    by_id = {f"s{i + 1}": s for i, s in enumerate(sessions)}
+    return TreatmentDataset.from_sessions(treatment_id=treatment_id, space=space, sessions=by_id)
+
+
+def sessions_of(data: TreatmentDataset) -> list[tuple[str, np.ndarray]]:
+    """(session_id, states) of each session of a dataset, in order."""
+    return list(zip(data.session_ids, np.split(data.states, data.offsets[1:-1])))
 
 
 def ring_estimate() -> MarkovEstimate:

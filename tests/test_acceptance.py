@@ -91,8 +91,8 @@ def test_criterion_2_ring_closed_form():
 
 def test_criterion_3_estimator_consistency():
     t0 = time.perf_counter()
-    traj = simulate_chain(np.full(3, 1 / 3), RING_TRANSITION, 1_000_000, Seed(3001))
-    est = estimate_markov(TreatmentDataset.from_sessions("ring", triangle_3(), (traj,)))
+    states = simulate_chain(np.full(3, 1 / 3), RING_TRANSITION, 1_000_000, Seed(3001))
+    est = estimate_markov(TreatmentDataset.from_sessions("ring", triangle_3(), {"sim": states}))
     value, _ = epr(est, SKIP)
     ent = entropy(est)
     rel_err = abs(value - RING_EPR) / RING_EPR
@@ -128,17 +128,11 @@ def test_criterion_4_bias_baseline_decay():
 def _cycle_mc_p(states: np.ndarray, reps: int, seed: Seed) -> float:
     """The cycle-test decision quantity for a single-session treatment."""
     est = estimate_markov(
-        TreatmentDataset.from_sessions("t", square_2x2(), (traj_from(states),))
+        TreatmentDataset.from_sessions("t", square_2x2(), {"s1": states})
     )
     value, _ = epr(est, SKIP)
     baseline = dos_baseline(est.dos, est.n_observations, reps, SKIP, seed)
     return (1 + int(np.count_nonzero(baseline.samples >= value))) / (reps + 1)
-
-
-def traj_from(states: np.ndarray):
-    from chainflux import Trajectory
-
-    return Trajectory("s1", np.asarray(states, dtype=np.int64))
 
 
 def test_criterion_5_cycle_test_power_and_size():
@@ -147,8 +141,8 @@ def test_criterion_5_cycle_test_power_and_size():
     from chainflux.cli import cycle_transition
 
     driven = cycle_transition(4, (0, 2, 3, 1), 0.85, 0.05)
-    traj = simulate_chain(np.full(4, 0.25), driven, 200, Seed(5001))
-    power_p = _cycle_mc_p(traj.states, 10_000, Seed(5002))
+    driven_states = simulate_chain(np.full(4, 0.25), driven, 200, Seed(5001))
+    power_p = _cycle_mc_p(driven_states, 10_000, Seed(5002))
 
     # size: 200 seeded i.i.d. runs at 200 rounds, alpha = 0.05
     runs, reps = 200, 2000
@@ -239,13 +233,13 @@ def test_criterion_6_minimax_size_and_power(tmp_path):
     for idx in range(16):
         forward = 0.45 + 0.025 * idx
         transition = cycle_transition(4, (0, 2, 3, 1), forward, 0.05)
-        trajs = tuple(
-            simulate_chain(np.full(4, 0.25), transition, 150,
-                           Seed(67000).split(idx).split(s), session_id=f"s{s + 1}")
+        sessions = {
+            f"s{s + 1}": simulate_chain(np.full(4, 0.25), transition, 150,
+                                        Seed(67000).split(idx).split(s))
             for s in range(2)
-        )
+        }
         driven_sets.append(
-            TreatmentDataset.from_sessions(f"D{idx + 1:02d}", square_2x2(), trajs)
+            TreatmentDataset.from_sessions(f"D{idx + 1:02d}", square_2x2(), sessions)
         )
     driven_csv = tmp_path / "driven16.csv"
     driven_out = tmp_path / "mm_driven.json"

@@ -5,6 +5,10 @@ from __future__ import annotations
 import json
 import os
 import re
+import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,8 @@ import pytest
 from chainflux import nullmodels
 from chainflux.cli import main
 from conftest import RING_EPR, fill_disk
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -723,6 +729,117 @@ class TestExitCodesAndDeterminism:
         d1["config"].pop("output"), d2["config"].pop("output")
         d1["config"].pop("workers"), d2["config"].pop("workers")
         assert d1 == d2
+
+    @pytest.mark.parametrize(
+        "command", ["analyze", "cycle-test", "minimax-test", "motion-fit"]
+    )
+    def test_header_only_file_exit_1(self, capsys, tmp_path, command):
+        data = tmp_path / "d.csv"
+        data.write_text("treatment_id,session_id,round,state\n")
+        out = tmp_path / "r.json"
+        code, summary, err = run_cli(
+            capsys, command, "--input", str(data), "--output", str(out)
+        )
+        assert code == 1
+        assert summary is None
+        assert err == "error: d.csv: no records after the header\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command", ["analyze", "cycle-test", "minimax-test", "motion-fit"]
+    )
+    def test_fifo_output_exit_1_before_any_work(
+        self, capsys, monkeypatch, tmp_path, command
+    ):
+        import chainflux.cli as cli_module
+
+        def never(*args, **kwargs):
+            raise RuntimeError("ran before the output was checked")
+
+        monkeypatch.setattr(cli_module, "load_csv", never)
+        fifo = tmp_path / "r.json"
+        os.mkfifo(fifo)
+        data = tmp_path / "d.csv"
+        data.write_text("treatment_id,session_id,round,state\nt,s,1,0\nt,s,2,1\n")
+        code, summary, err = run_cli(
+            capsys, command, "--input", str(data), "--output", str(fifo)
+        )
+        assert code == 1
+        assert summary is None
+        assert err == f"error: cannot write report to {fifo}: it is not a regular file\n"
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+    def test_simulate_to_a_fifo_exit_1(self, capsys, tmp_path):
+        fifo = tmp_path / "x.csv"
+        os.mkfifo(fifo)
+        code, _, err = run_cli(
+            capsys, "simulate", "--model", "vnm", "--rounds", "5", "--output", str(fifo)
+        )
+        assert code == 1
+        assert err == f"error: cannot write {fifo}: it is not a regular file\n"
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
+
+    @pytest.mark.parametrize("target_exists", [True, False])
+    def test_symlinked_output_replaces_its_target(self, capsys, tmp_path, target_exists):
+        data = simulate(capsys, tmp_path, "d.csv", "--model", "vnm", "--rounds", "20")
+        real = tmp_path / "real.json"
+        if target_exists:
+            real.write_text("old")
+        link = tmp_path / "r.json"
+        link.symlink_to(real)
+        args = ["analyze", "--input", str(data), "--reproducible"]
+        assert run_cli(capsys, *args, "--output", str(link))[0] == 0
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        report = json.loads(real.read_text())
+        assert report["config"]["output"] == str(link)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "r.json", "real.json"]
+
+    def test_symlink_to_a_fifo_exit_1(self, capsys, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        link = tmp_path / "r.json"
+        link.symlink_to(fifo)
+        code, _, err = run_cli(capsys, "analyze", *_io_args("analyze", tmp_path)[:2],
+                               "--output", str(link))
+        assert code == 1
+        assert err == f"error: cannot write report to {link}: it is not a regular file\n"
+        assert link.is_symlink() and stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+    def _module_cli(self, *argv):
+        """Run `python -m chainflux.cli`, the entry point's own process."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC), *filter(None, [env.get("PYTHONPATH")])]
+        )
+        return subprocess.run(
+            [sys.executable, "-m", "chainflux.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    def test_module_entrypoint_matches_in_process_run(self, capsys, tmp_path):
+        data = simulate(capsys, tmp_path, "d.csv", "--model", "vnm", "--rounds", "30")
+        out = tmp_path / "r.json"
+        args = ["cycle-test", "--input", str(data), "--output", str(out),
+                "--reps", "50", "--reproducible"]
+        assert main(args) == 0
+        in_process = capsys.readouterr().out
+        report = out.read_bytes()
+        out.unlink()
+        child = self._module_cli(*args)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout == in_process
+        assert out.read_bytes() == report
+
+    def test_module_entrypoint_missing_input_exit_1(self, tmp_path):
+        missing = tmp_path / "missing.csv"
+        child = self._module_cli(
+            "analyze", "--input", str(missing), "--output", str(tmp_path / "r.json")
+        )
+        assert child.returncode == 1
+        assert child.stdout == ""
+        assert child.stderr.startswith(f"error: cannot read {missing}: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_identical_runs_byte_identical(self, capsys, tmp_path):
         data = simulate(capsys, tmp_path, "d.csv", "--model", "vnm",

@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainflux import (
+    BaselineDistribution,
     MarkovEstimate,
     StateSpace,
-    Trajectory,
+    TreatmentDataset,
+    ZeroFluxPolicy,
     estimate_markov,
     square_2x2,
     stationarity_diagnostic,
@@ -171,11 +173,11 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             StateSpace(labels=("a", "b"), coordinates=np.array([[np.nan], [0.0]]))
 
-    def test_trajectory_validation(self):
+    def test_session_validation(self):
         with pytest.raises(ValueError):
-            Trajectory("s", [-1, 0])
+            TreatmentDataset.from_sessions("t", square_2x2(), {"s": [-1, 0]})
         with pytest.raises(ValueError):
-            Trajectory("s", [[0, 1]])
+            TreatmentDataset.from_sessions("t", square_2x2(), {"s": [[0, 1]]})
 
     def test_dataset_state_range(self):
         with pytest.raises(StateOutOfRangeError):
@@ -186,6 +188,28 @@ class TestDomainTypes:
         for arr in (est.dos, est.transition, est.counts, est.occupancy):
             with pytest.raises(ValueError):
                 arr[0] = 0  # type: ignore[index]
+
+    def test_fields_are_read_only_views_of_the_callers_arrays(self):
+        states, offsets = np.array([0, 1, 2, 3], dtype=np.int64), np.array([0, 4])
+        coords = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+        dos, transition = np.full(4, 0.25), np.eye(4)
+        samples = np.array([0.1, 0.2])
+        space = StateSpace(("a", "b", "c", "d"), coords)
+        data = TreatmentDataset("t", space, states, offsets, ["s"])
+        est = MarkovEstimate.from_exact(space, dos, transition)
+        baseline = BaselineDistribution("epr", samples, 0, ZeroFluxPolicy.skip())
+        pairs = [
+            (states, data.states),
+            (offsets, data.offsets),
+            (coords, space.coordinates),
+            (dos, est.dos),
+            (transition, est.transition),
+            (samples, baseline.samples),
+        ]
+        for given, field in pairs:
+            assert given.flags.writeable
+            assert not field.flags.writeable
+            assert np.shares_memory(given, field)  # frozen without a copy
 
     def test_markov_estimate_rejects_bad_dos(self):
         space = square_2x2()

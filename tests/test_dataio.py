@@ -34,7 +34,7 @@ from chainflux.errors import (
 )
 from chainflux.stats import ols_fit, one_sample_t
 
-from conftest import fill_disk, make_dataset
+from conftest import fill_disk, make_dataset, sessions_of
 
 
 def write_text(tmp_path, name, text):
@@ -53,7 +53,7 @@ class TestLoadCsv:
         datasets = load_csv(path, square_space)
         assert len(datasets) == 1
         assert datasets[0].treatment_id == "t1"
-        assert datasets[0].sessions[0].states.tolist() == [0, 1, 0]
+        assert sessions_of(datasets[0])[0][1].tolist() == [0, 1, 0]
 
     def test_action_pairs_map_to_states(self, tmp_path, square_space):
         path = write_text(
@@ -63,7 +63,7 @@ class TestLoadCsv:
             "t,s,1,1,1\nt,s,2,0,0\n",
         )
         datasets = load_csv(path, square_space)
-        assert datasets[0].sessions[0].states.tolist() == [3, 0]
+        assert sessions_of(datasets[0])[0][1].tolist() == [3, 0]
 
     def test_state_out_of_range_names_line(self, tmp_path, square_space):
         path = write_text(
@@ -115,7 +115,7 @@ class TestLoadCsv:
             "treatment_id,session_id,round,state\nt,s,1,0\nt,s,5,1\nt,s,9,2\n",
         )
         datasets = load_csv(path, square_space)
-        assert datasets[0].sessions[0].states.tolist() == [0, 1, 2]
+        assert sessions_of(datasets[0])[0][1].tolist() == [0, 1, 2]
         est = estimate_markov(datasets[0])
         assert est.counts[0, 1] == 1 and est.counts[1, 2] == 1
 
@@ -157,7 +157,7 @@ class TestLoadCsv:
             "treatment_id,session_id,round,state\nt,s,1,0\n\nt,s,2,1\n",
         )
         datasets = load_csv(path, square_space)
-        assert datasets[0].sessions[0].states.tolist() == [0, 1]
+        assert sessions_of(datasets[0])[0][1].tolist() == [0, 1]
 
     def test_treatment_and_session_grouping(self, tmp_path, square_space):
         path = write_text(
@@ -171,7 +171,7 @@ class TestLoadCsv:
         datasets = load_csv(path, square_space)
         assert [d.treatment_id for d in datasets] == ["t2", "t1"]
         t2 = datasets[0]
-        assert [t.session_id for t in t2.sessions] == ["s1", "s2"]
+        assert list(t2.session_ids) == ["s1", "s2"]
 
     def test_utf8_byte_order_mark_accepted(self, tmp_path, square_space):
         path = tmp_path / "bom.csv"
@@ -180,7 +180,7 @@ class TestLoadCsv:
         )
         datasets = load_csv(path, square_space)
         assert datasets[0].treatment_id == "t1"
-        assert datasets[0].sessions[0].states.tolist() == [2, 3]
+        assert sessions_of(datasets[0])[0][1].tolist() == [2, 3]
 
 
 class TestWriteCsvRoundTrip:
@@ -195,10 +195,12 @@ class TestWriteCsvRoundTrip:
         assert len(loaded) == 2
         for before, after in zip(original, loaded):
             assert before.treatment_id == after.treatment_id
-            assert len(before.sessions) == len(after.sessions)
-            for t_before, t_after in zip(before.sessions, after.sessions):
-                assert t_before.session_id == t_after.session_id
-                assert np.array_equal(t_before.states, t_after.states)
+            assert len(before.session_ids) == len(after.session_ids)
+            for (sid_before, states_before), (sid_after, states_after) in zip(
+                sessions_of(before), sessions_of(after)
+            ):
+                assert sid_before == sid_after
+                assert np.array_equal(states_before, states_after)
 
     def test_encodings_yield_identical_estimates(self, tmp_path, square_space):
         data = [make_dataset([[0, 3, 1, 2, 0, 3, 3]])]

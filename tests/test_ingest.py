@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chainflux.dataio as dataio
-from chainflux import StateSpace, Trajectory, TreatmentDataset, load_csv, square_2x2
+from chainflux import StateSpace, TreatmentDataset, load_csv, square_2x2
+from chainflux.cli import main
 from chainflux.errors import (
     ChainfluxError,
     MixedEncodingsError,
@@ -19,6 +20,8 @@ from chainflux.errors import (
     ParseError,
     StateOutOfRangeError,
 )
+
+from conftest import sessions_of
 
 STATE_HEADER = ["treatment_id", "session_id", "round", "state"]
 ACTION_HEADER = ["treatment_id", "session_id", "round", "row_action", "col_action"]
@@ -94,14 +97,7 @@ def loop_load_csv(path, space: StateSpace) -> list[TreatmentDataset]:
                 raise StateOutOfRangeError(f"state {state} outside [0, {r})", line)
             treatments.setdefault(tid, {}).setdefault(sid, []).append(state)
     return [
-        TreatmentDataset.from_sessions(
-            treatment_id=tid,
-            space=space,
-            sessions=tuple(
-                Trajectory(session_id=sid, states=np.asarray(states, dtype=np.int64))
-                for sid, states in sessions.items()
-            ),
-        )
+        TreatmentDataset.from_sessions(treatment_id=tid, space=space, sessions=sessions)
         for tid, sessions in treatments.items()
     ]
 
@@ -115,7 +111,7 @@ def outcome(loader, path, space):
     return [
         (
             d.treatment_id,
-            [(t.session_id, t.states.dtype.str, t.states.tolist()) for t in d.sessions],
+            [(sid, states.dtype.str, states.tolist()) for sid, states in sessions_of(d)],
         )
         for d in datasets
     ]
@@ -249,9 +245,9 @@ def test_interleaved_sessions_keep_first_appearance_order(tmp_path):
     )
     datasets = load_csv(write(tmp_path, text.encode()), square_2x2())
     assert [d.treatment_id for d in datasets] == ["b", "a"]
-    assert [t.session_id for t in datasets[0].sessions] == ["y", "z"]
-    assert datasets[0].sessions[0].states.tolist() == [0, 3, 2]
-    assert datasets[1].sessions[0].states.tolist() == [1, 0]
+    assert list(datasets[0].session_ids) == ["y", "z"]
+    assert sessions_of(datasets[0])[0][1].tolist() == [0, 3, 2]
+    assert sessions_of(datasets[1])[0][1].tolist() == [1, 0]
 
 
 @pytest.mark.parametrize("block_bytes", [4, BLOCK_BYTES])
@@ -278,7 +274,7 @@ def test_rounds_beyond_int64_compare_exactly(tmp_path):
     big = 2**70
     text = f"treatment_id,session_id,round,state\nt,s,{big},0\nt,s,{big + 1},1\n"
     path = write(tmp_path, text.encode())
-    assert load_csv(path, square_2x2())[0].sessions[0].states.tolist() == [0, 1]
+    assert sessions_of(load_csv(path, square_2x2())[0])[0][1].tolist() == [0, 1]
     path = write(tmp_path, text.replace(str(big + 1), str(big)).encode())
     with pytest.raises(NonMonotoneRoundsError) as exc:
         load_csv(path, square_2x2())
@@ -291,7 +287,7 @@ def test_large_state_space_keeps_every_index(tmp_path):
         f"t,s,{k + 1},{k}\n" for k in range(300)
     )
     datasets = load_csv(write(tmp_path, text.encode()), space)
-    assert datasets[0].sessions[0].states.tolist() == list(range(300))
+    assert sessions_of(datasets[0])[0][1].tolist() == list(range(300))
 
 
 @pytest.mark.parametrize("block_bytes", [1, BLOCK_BYTES])
@@ -339,7 +335,7 @@ def test_long_unquoted_cell_is_read(tmp_path):
     text = f"treatment_id,session_id,round,state\n{tid},s,1,0\n{tid},s,2,3\n"
     datasets = load_csv(write(tmp_path, text.encode()), square_2x2())
     assert datasets[0].treatment_id == tid
-    assert datasets[0].sessions[0].states.tolist() == [0, 3]
+    assert sessions_of(datasets[0])[0][1].tolist() == [0, 3]
 
 
 def test_error_before_invalid_utf8_wins(tmp_path):
@@ -413,7 +409,7 @@ def test_one_lone_cr_in_a_crlf_block(tmp_path, where):
     rows[where] = rows[where].replace("\r\n", "\r")
     path = write(tmp_path, strict_file(rows))
     assert_same_as_loop(path, square_2x2(), BLOCK_BYTES)
-    assert len(load_csv(path, square_2x2())[0].sessions[0]) == 20
+    assert len(sessions_of(load_csv(path, square_2x2())[0])[0][1]) == 20
 
 
 STRICT_FAULTS = FAULTS + ["empty first cell", "empty last cell"]
@@ -446,3 +442,59 @@ def test_strict_two_block_file_with_one_fault(tmp_path, where, fault):
     rows[at[where]] = _fault(rows[at[where]], fault)
     path = write(tmp_path, strict_file(rows))
     assert_same_as_loop(path, square_2x2(), BLOCK_BYTES)
+
+
+# ---------------------------------------------------------------------------
+# which parser reads a block
+# ---------------------------------------------------------------------------
+
+# `simulate` options of the benchmark's inputs (perfbench/run.py), with
+# analyze-1m cut from 25 to 2 sessions per treatment
+BENCHMARK_INPUTS = {
+    "analyze-1m": "--model square-cycle --forward 0.6 --backward 0.2 --treatments 8"
+    " --sessions 2 --rounds 5000 --encoding actions",
+    "cycle-long": "--model square-cycle --forward 0.35 --backward 0.25"
+    " --treatments 2 --sessions 1 --rounds 20000",
+    "vnm-16x16x12": "--model vnm --p 0.4 --q 0.6 --treatments 16 --sessions 16"
+    " --rounds 12 --encoding actions",
+}
+
+
+@pytest.mark.parametrize("name", BENCHMARK_INPUTS)
+def test_written_files_never_reach_csv(tmp_path, monkeypatch, name):
+    path = tmp_path / "input.csv"
+    argv = ["simulate", *BENCHMARK_INPUTS[name].split(), "--output", str(path)]
+    assert main(argv) == 0
+
+    def no_csv(self, blocks, line):
+        raise AssertionError(f"the block from line {line} was read by csv")
+
+    monkeypatch.setattr(dataio._Records, "add_csv", no_csv)
+    assert_same_as_loop(path, square_2x2(), BLOCK_BYTES)
+
+
+IRREGULAR_ROWS = {
+    "lone CR": lambda cells: ",".join(cells) + "\r",
+    "padded cell": lambda cells: ",".join([*cells[:3], " 1 ", cells[4]]) + "\r\n",
+    "19-digit round": lambda cells: ",".join([*cells[:2], str(10**18), *cells[3:]])
+    + "\r\n",
+    "wrong column count": lambda cells: ",".join([*cells, "7"]) + "\r\n",
+}
+
+
+@pytest.mark.parametrize("case", IRREGULAR_ROWS)
+def test_only_the_irregular_block_goes_through_csv(tmp_path, monkeypatch, case):
+    rows = strict_rows(5000)
+    rows[-1] = IRREGULAR_ROWS[case](rows[-1].rstrip("\r\n").split(","))
+    path = write(tmp_path, strict_file(rows))
+    calls = []
+    add_csv = dataio._Records.add_csv
+
+    def spy(self, blocks, line):
+        calls.append(line)
+        return add_csv(self, blocks, line)
+
+    monkeypatch.setattr(dataio._Records, "add_csv", spy)
+    assert_same_as_loop(path, square_2x2(), BLOCK_BYTES)
+    # the first of the file's two blocks is strict; the second holds the row
+    assert len(calls) == 1 and calls[0] > 2

@@ -14,7 +14,6 @@ from chainflux import (
     MarkovEstimate,
     StateSpace,
     StationarityDiagnostic,
-    Trajectory,
     TreatmentDataset,
     estimate_markov,
     load_space,
@@ -29,6 +28,8 @@ from chainflux.errors import (
     StateOutOfRangeError,
 )
 
+from conftest import sessions_of
+
 
 def space_of(r: int) -> StateSpace:
     return StateSpace(tuple(str(i) for i in range(r)), np.arange(r, dtype=float))
@@ -37,7 +38,7 @@ def space_of(r: int) -> StateSpace:
 def _loop_retained(data: TreatmentDataset, burn_in: int) -> list[np.ndarray]:
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
-    kept = [t.states[burn_in:] for t in data.sessions]
+    kept = [states[burn_in:] for _, states in sessions_of(data)]
     return [s for s in kept if s.size > 0]
 
 
@@ -121,10 +122,10 @@ def ragged_datasets(draw):
     lengths = draw(
         st.lists(st.sampled_from([0, 1, 1, 2, 3, 4, 5, 6, 9, 17]), max_size=8)
     )
-    sessions = [
-        Trajectory(f"s{k}", draw(st.lists(st.integers(0, r - 1), min_size=n, max_size=n)))
+    sessions = {
+        f"s{k}": draw(st.lists(st.integers(0, r - 1), min_size=n, max_size=n))
         for k, n in enumerate(lengths)
-    ]
+    }
     return TreatmentDataset.from_sessions("t", space_of(r), sessions)
 
 
@@ -153,7 +154,7 @@ def test_flat_data_path_matches_loop(data, burn_in):
 )
 def test_designs_without_pairs_raise_like_loop(lengths, burn_in, error):
     data = TreatmentDataset.from_sessions(
-        "t", square_2x2(), [Trajectory(f"s{n}", [n % 4] * n) for n in lengths]
+        "t", square_2x2(), {f"s{k}": [n % 4] * n for k, n in enumerate(lengths)}
     )
     for fn in (estimate_markov, stationarity_diagnostic):
         with pytest.raises(error):
@@ -224,7 +225,7 @@ def test_300_state_json_space_matches_loop(tmp_path):
     space = load_space(str(tmp_path / "space.json"))
     rng = np.random.default_rng(300)
     data = TreatmentDataset.from_sessions(
-        "t", space, [Trajectory(f"s{n}", rng.integers(0, 300, n)) for n in (1, 700, 0, 3)]
+        "t", space, {f"s{n}": rng.integers(0, 300, n) for n in (1, 700, 0, 3)}
     )
     for burn_in in (0, 2):
         fields = ("counts", "occupancy", "n_observations")
@@ -257,7 +258,7 @@ def test_flat_dataset_views():
     assert data.n_rounds == 5
     assert data.states.dtype == np.int64 and data.offsets.dtype == np.int64
     assert not data.states.flags.writeable and not data.offsets.flags.writeable
-    assert [(t.session_id, t.states.tolist()) for t in data.sessions] == [
+    assert [(sid, states.tolist()) for sid, states in sessions_of(data)] == [
         ("a", [0, 1]), ("b", []), ("c", [2, 3, 0])
     ]
     assert data.retained_lengths(1).tolist() == [1, 0, 2]
@@ -269,13 +270,13 @@ def test_from_sessions_and_from_rows_agree():
     rows = np.array([[0, 1, 3], [2, 2, 1]])
     by_rows = TreatmentDataset.from_rows("t", square_2x2(), rows)
     by_sessions = TreatmentDataset.from_sessions(
-        "t", square_2x2(), [Trajectory("s1", rows[0]), Trajectory("s2", rows[1])]
+        "t", square_2x2(), {"s1": rows[0], "s2": rows[1]}
     )
     for data in (by_rows, by_sessions):
         assert data.states.tolist() == [0, 1, 3, 2, 2, 1]
         assert data.offsets.tolist() == [0, 3, 6]
         assert data.session_ids == ("s1", "s2")
-    empty = TreatmentDataset.from_sessions("t", square_2x2(), [])
+    empty = TreatmentDataset.from_sessions("t", square_2x2(), {})
     assert empty.n_rounds == 0 and empty.offsets.tolist() == [0]
 
 

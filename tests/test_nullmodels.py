@@ -17,7 +17,6 @@ from chainflux import (
     MarkovEstimate,
     Seed,
     StateSpace,
-    Trajectory,
     TreatmentDataset,
     VnmParams,
     ZeroFluxPolicy,
@@ -34,7 +33,7 @@ from chainflux import (
 )
 from chainflux.errors import InvalidDistributionError, OneSidedZeroFluxError
 
-from conftest import RING_TRANSITION
+from conftest import RING_TRANSITION, sessions_of
 
 SKIP = ZeroFluxPolicy.skip()
 SMOOTH = ZeroFluxPolicy.smooth(1e-6)
@@ -52,7 +51,7 @@ def loop_dos_baseline(dos, n_rounds, reps, policy, seed):
     for k in range(reps):
         u = seed.split(k).generator().random(n_rounds)
         states = np.minimum(np.searchsorted(cum, u, side="right"), r - 1)
-        data = TreatmentDataset.from_sessions("baseline", space, (Trajectory("s1", states),))
+        data = TreatmentDataset.from_sessions("baseline", space, {"s1": states})
         samples.append(epr(estimate_markov(data), policy)[0])
     return np.array(samples)
 
@@ -70,12 +69,12 @@ def loop_vnm_null(params, reps, policy, seed):
     ent, pro = [], []
     for k in range(reps):
         rng = seed.split(k).generator()
-        sessions = []
+        sessions = {}
         for s in range(params.sessions):
             rows = rng.random(params.rounds_per_session) < params.p
             cols = rng.random(params.rounds_per_session) < params.q
-            sessions.append(Trajectory(f"s{s + 1}", 2 * rows.astype(int) + cols))
-        est = estimate_markov(TreatmentDataset.from_sessions("vnm", square_2x2(), tuple(sessions)))
+            sessions[f"s{s + 1}"] = 2 * rows.astype(int) + cols
+        est = estimate_markov(TreatmentDataset.from_sessions("vnm", square_2x2(), sessions))
         ent.append(entropy(est))
         pro.append(epr(est, policy)[0])
     return np.array(ent), np.array(pro)
@@ -181,15 +180,15 @@ class TestSimulateChain:
         cycle = {0: 2, 2: 3, 3: 1, 1: 0}
         for i, j in cycle.items():
             transition[i, j] = 1.0
-        traj = simulate_chain([1.0, 0, 0, 0], transition, 8, Seed(99))
+        states = simulate_chain([1.0, 0, 0, 0], transition, 8, Seed(99))
         expect = [0]
         for _ in range(7):
             expect.append(cycle[expect[-1]])
-        assert traj.states.tolist() == expect
+        assert states.tolist() == expect
 
     def test_identity_transition_absorbs(self):
-        traj = simulate_chain([0, 0, 1.0, 0], np.eye(4), 5, Seed(1))
-        assert traj.states.tolist() == [2, 2, 2, 2, 2]
+        states = simulate_chain([0, 0, 1.0, 0], np.eye(4), 5, Seed(1))
+        assert states.tolist() == [2, 2, 2, 2, 2]
 
     def test_bad_row_normalization(self):
         bad = np.full((3, 3), 0.4)
@@ -217,23 +216,23 @@ class TestSimulateChain:
 
     def test_iid_uniform_occupancy_concentrates(self):
         uniform = np.full((4, 4), 0.25)
-        traj = simulate_chain([0.25] * 4, uniform, 1_000_000, Seed(314))
-        freq = np.bincount(traj.states, minlength=4) / traj.states.size
+        states = simulate_chain([0.25] * 4, uniform, 1_000_000, Seed(314))
+        freq = np.bincount(states, minlength=4) / states.size
         assert np.all(np.abs(freq - 0.25) < 0.002)
 
     def test_same_seed_same_trajectory(self):
-        traj1 = simulate_chain([1 / 3] * 3, RING_TRANSITION, 500, Seed(8))
-        traj2 = simulate_chain([1 / 3] * 3, RING_TRANSITION, 500, Seed(8))
-        assert np.array_equal(traj1.states, traj2.states)
+        states1 = simulate_chain([1 / 3] * 3, RING_TRANSITION, 500, Seed(8))
+        states2 = simulate_chain([1 / 3] * 3, RING_TRANSITION, 500, Seed(8))
+        assert np.array_equal(states1, states2)
 
     def test_estimator_recovers_transitions_within_binomial_error(self):
         rng = np.random.default_rng(17)
         raw = rng.random((4, 4)) + 0.1
         transition = raw / raw.sum(axis=1, keepdims=True)
         n = 200_000
-        traj = simulate_chain([0.25] * 4, transition, n, Seed(2718))
+        states = simulate_chain([0.25] * 4, transition, n, Seed(2718))
         est = estimate_markov(
-            TreatmentDataset.from_sessions("sim", square_2x2(), (traj,))
+            TreatmentDataset.from_sessions("sim", square_2x2(), {"sim": states})
         )
         for i in range(4):
             visits = int(est.counts[i].sum())
@@ -260,19 +259,19 @@ class TestSimulateVnm:
     def test_degenerate_probabilities(self):
         params = VnmParams(p=1.0, q=1.0, sessions=2, rounds_per_session=50)
         data = simulate_vnm(params, square_2x2(), Seed(3))
-        for traj in data.sessions:
-            assert np.all(traj.states == 3)
+        for _, states in sessions_of(data):
+            assert np.all(states == 3)
 
     def test_zero_probabilities(self):
         params = VnmParams(p=0.0, q=0.0, sessions=1, rounds_per_session=30)
         data = simulate_vnm(params, square_2x2(), Seed(3))
-        assert np.all(data.sessions[0].states == 0)
+        assert np.all(sessions_of(data)[0][1] == 0)
 
     def test_shape_matches_params(self):
         params = VnmParams(p=0.4, q=0.6, sessions=3, rounds_per_session=20)
         data = simulate_vnm(params, square_2x2(), Seed(12))
-        assert len(data.sessions) == 3
-        assert all(len(t) == 20 for t in data.sessions)
+        assert len(data.session_ids) == 3
+        assert all(len(states) == 20 for _, states in sessions_of(data))
 
     def test_requires_square_space(self):
         params = VnmParams(p=0.5, q=0.5, sessions=1, rounds_per_session=10)
@@ -304,7 +303,7 @@ class TestSimulateVnm:
     def test_marginal_frequency_matches_p(self):
         params = VnmParams(p=0.7, q=0.3, sessions=2, rounds_per_session=5000)
         data = simulate_vnm(params, square_2x2(), Seed(55))
-        states = np.concatenate([t.states for t in data.sessions])
+        states = data.states
         p_hat = float(np.mean(states // 2))
         q_hat = float(np.mean(states % 2))
         n = states.size
@@ -315,10 +314,7 @@ class TestSimulateVnm:
         params = VnmParams(p=0.6, q=0.45, sessions=1, rounds_per_session=300)
         root = Seed(314159)
         pooled = np.concatenate([
-            np.concatenate(
-                [t.states for t in
-                 simulate_vnm(params, square_2x2(), root.split(k)).sessions]
-            )
+            simulate_vnm(params, square_2x2(), root.split(k)).states
             for k in range(60)
         ])
         n = pooled.size

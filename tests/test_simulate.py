@@ -21,7 +21,6 @@ from chainflux import nullmodels
 from chainflux import (
     Seed,
     StateSpace,
-    Trajectory,
     TreatmentDataset,
     VnmParams,
     simulate_chain,
@@ -34,6 +33,7 @@ from chainflux import (
 )
 from chainflux.core import is_square_2x2
 from chainflux.errors import InvalidDistributionError
+from conftest import sessions_of
 from test_ingest import IDS, QUOTED_IDS
 
 STATE_HEADER = ["treatment_id", "session_id", "round", "state"]
@@ -68,15 +68,15 @@ def loop_write_csv(datasets, path, encoding: str = "state") -> None:
         writer = csv.writer(fh)
         writer.writerow(ACTION_HEADER if actions else STATE_HEADER)
         for data in datasets:
-            for traj in data.sessions:
-                for rnd, s in enumerate(traj.states, start=1):
+            for sid, states in sessions_of(data):
+                for rnd, s in enumerate(states, start=1):
                     s = int(s)
                     if actions:
                         writer.writerow(
-                            [data.treatment_id, traj.session_id, rnd, s // 2, s % 2]
+                            [data.treatment_id, sid, rnd, s // 2, s % 2]
                         )
                     else:
-                        writer.writerow([data.treatment_id, traj.session_id, rnd, s])
+                        writer.writerow([data.treatment_id, sid, rnd, s])
 
 
 def space_of(r: int) -> StateSpace:
@@ -109,10 +109,10 @@ def test_simulate_chain_matches_loop(case):
     dos0, transition = random_chain(rng, r)
     n = int(rng.integers(2, 4000))
     seed = Seed(int(rng.integers(0, 2**63)))
-    traj = simulate_chain(dos0, transition, n, seed)
+    states = simulate_chain(dos0, transition, n, seed)
     reference = loop_simulate_chain(dos0, transition, n, seed)
-    assert traj.states.dtype == np.int64
-    assert np.array_equal(traj.states, reference)
+    assert states.dtype == np.int64
+    assert np.array_equal(states, reference)
 
 
 def test_simulate_chain_point_masses_match_loop():
@@ -122,9 +122,9 @@ def test_simulate_chain_point_masses_match_loop():
     transition[::2, -1] = 1.0
     transition[1::2, 0] = 1.0
     for dos0 in ([1.0, 0, 0, 0, 0], [0, 0, 0, 0, 1.0]):
-        traj = simulate_chain(dos0, transition, 50, Seed(12))
+        states = simulate_chain(dos0, transition, 50, Seed(12))
         reference = loop_simulate_chain(dos0, transition, 50, Seed(12))
-        assert np.array_equal(traj.states, reference)
+        assert np.array_equal(states, reference)
 
 
 @pytest.mark.parametrize(
@@ -254,11 +254,17 @@ def record_sets(draw):
             space = square_2x2()
         else:
             space = space_of(draw(st.sampled_from([2, 4, 9, 10, 11, 100, 300])))
-        sessions = tuple(
-            Trajectory(draw(ids), rng.integers(0, space.size, draw(session_lengths)))
+        # session ids may repeat, so the dataset is built from its flat layout
+        sessions = [
+            (draw(ids), rng.integers(0, space.size, draw(session_lengths)))
             for _ in range(draw(st.integers(0, 3)))
+        ]
+        states = [np.zeros(0, np.int64), *(s for _, s in sessions)]
+        offsets = np.cumsum([0, *(len(s) for _, s in sessions)])
+        session_ids = [sid for sid, _ in sessions]
+        datasets.append(
+            TreatmentDataset(draw(ids), space, np.concatenate(states), offsets, session_ids)
         )
-        datasets.append(TreatmentDataset.from_sessions(draw(ids), space, sessions))
     return datasets, encoding
 
 
@@ -281,10 +287,10 @@ def test_generated_records_byte_identical_to_loop(tmp_path_factory, records, bat
 def test_sessions_across_the_batch_boundary_byte_identical(tmp_path, encoding):
     batch = dataio._WRITE_BATCH_ROWS
     rng = np.random.default_rng(5)
-    sessions = tuple(
-        Trajectory(f"s{n}", rng.integers(0, 4, n))
+    sessions = {
+        f"s{n}": rng.integers(0, 4, n)
         for n in (batch - 1, batch, batch + 1, 2 * batch + 3, 5)
-    )
+    }
     datasets = [TreatmentDataset.from_sessions('t,"1"', square_2x2(), sessions)]
     write_csv(datasets, tmp_path / "new.csv", encoding=encoding)
     loop_write_csv(datasets, tmp_path / "old.csv", encoding=encoding)
@@ -311,7 +317,7 @@ def test_empty_dataset_list_writes_the_header(tmp_path):
 
 def _write_peak_bytes(tmp_path, n: int) -> int:
     states = np.random.default_rng(1).integers(0, 4, n)
-    datasets = [TreatmentDataset.from_sessions("t", square_2x2(), (Trajectory("s", states),))]
+    datasets = [TreatmentDataset.from_sessions("t", square_2x2(), {"s": states})]
     tracemalloc.start()
     try:
         write_csv(datasets, tmp_path / f"{n}.csv", encoding="actions")
