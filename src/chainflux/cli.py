@@ -3,17 +3,17 @@
 
 Subcommands: analyze, minimax-test, cycle-test, motion-fit, simulate.
 Progress goes to stderr; stdout carries one machine-readable JSON summary
-line. Exit codes: 0 success, 1 data/config error, 2 internal error.
+line. Exit codes: 0 success, 1 data/config/usage error, 2 internal error.
 """
 
 from __future__ import annotations
 
+import argparse
 import gc
 import json
 import os
 import sys
 
-import click
 import numpy as np
 
 from . import __version__
@@ -64,7 +64,7 @@ __all__ = [
 
 
 def _progress(message: str) -> None:
-    click.echo(message, err=True)
+    print(message, file=sys.stderr, flush=True)
 
 
 def _parse_policy(text: str) -> ZeroFluxPolicy:
@@ -433,120 +433,18 @@ def _simulate_datasets(
     ]
 
 
-# ---------------------------------------------------------------------------
-# click wiring
-# ---------------------------------------------------------------------------
-
-
-def _analysis_options(fn):
-    options = [
-        click.option("--input", "input_path", required=True,
-                      help="CSV record file (see README for the schema)."),
-        click.option("--output", "output_path", required=True,
-                      help="Path of the JSON report to write."),
-        click.option("--seed", default=0, show_default=True,
-                      help="64-bit root seed for all Monte-Carlo draws."),
-        click.option("--reps", default=10_000, show_default=True,
-                      help="Monte-Carlo replicates per null distribution."),
-        click.option("--zero-flux-policy", "policy_text", default="skip",
-                      show_default=True,
-                      help="EPR zero-flux policy: skip, strict, or smooth=EPS."),
-        click.option("--burn-in", default=0, show_default=True,
-                      help="Rounds discarded at the start of every session."),
-        click.option("--alpha", default=0.001, show_default=True,
-                      help="Detection significance level."),
-        click.option("--space", "space_text", default="square", show_default=True,
-                      help="State space: square, triangle, or a JSON descriptor path."),
-        click.option("--workers", default=1, show_default=True,
-                      help="Worker processes for Monte-Carlo replicates."),
-        click.option("--reproducible", is_flag=True,
-                      help="Omit the timestamp so identical runs are byte-identical."),
-    ]
-    for option in reversed(options):
-        fn = option(fn)
-    return fn
-
-
-@click.group()
-@click.version_option(__version__, prog_name="chainflux")
-def cli() -> None:
-    """Markov-chain estimation and nonequilibrium observables for recorded
-    play sequences: entropy, entropy production rate, velocity, motion,
-    Monte-Carlo null models, and the associated statistical tests."""
-
-
-def _finish(summary: dict) -> None:
-    click.echo(json.dumps(summary, sort_keys=True))
-
-
-@cli.command("analyze")
-@_analysis_options
-def _analyze_cmd(**kwargs) -> None:
-    """Estimate chains and compute all observables per treatment."""
-    _finish(run_analyze(_make_config(**kwargs)))
-
-
-@cli.command("minimax-test")
-@_analysis_options
-def _minimax_cmd(**kwargs) -> None:
-    """Test the independent-randomization prediction against the data."""
-    _finish(run_minimax(_make_config(**kwargs)))
-
-
-@cli.command("cycle-test")
-@_analysis_options
-def _cycle_cmd(**kwargs) -> None:
-    """Test each treatment's EPR against its finite-sample i.i.d. baseline."""
-    _finish(run_cycle_test(_make_config(**kwargs)))
-
-
-@cli.command("motion-fit")
-@_analysis_options
-def _motion_cmd(**kwargs) -> None:
-    """Fit motion against EPR across treatments (OLS with stderr and R^2)."""
-    _finish(run_motion_fit(_make_config(**kwargs)))
-
-
-@cli.command("simulate")
-@click.option("--model", required=True,
-              type=click.Choice(["vnm", "ring", "square-cycle", "iid"]),
-              help="Generator: independent play, 3-state ring, driven square "
-                   "cycle, or i.i.d. draws from --dos.")
-@click.option("--output", "output_path", required=True, help="CSV file to write.")
-@click.option("--seed", default=0, show_default=True)
-@click.option("--treatments", default=1, show_default=True)
-@click.option("--sessions", default=1, show_default=True)
-@click.option("--rounds", default=1000, show_default=True)
-@click.option("--p", default=0.5, show_default=True, help="vnm: P(row_action=1).")
-@click.option("--q", default=0.5, show_default=True, help="vnm: P(col_action=1).")
-@click.option("--forward", default=0.5, show_default=True,
-              help="ring/square-cycle: forward step probability.")
-@click.option("--backward", default=0.25, show_default=True,
-              help="ring/square-cycle: backward step probability.")
-@click.option("--drive-sweep", default=None,
-              help="square-cycle: comma list of forward values, one treatment each.")
-@click.option("--dos", default=None, help="iid: comma list of state probabilities.")
-@click.option("--encoding", default="state", show_default=True,
-              type=click.Choice(["state", "actions"]))
-@click.option("--space", "space_text", default="square", show_default=True)
 def _simulate_cmd(
     model, output_path, seed, treatments, sessions, rounds, p, q,
     forward, backward, drive_sweep, dos, encoding, space_text,
-) -> None:
+) -> dict:
     """Write synthetic record files for any of the bundled generators."""
     root = _seed(seed)
     if rounds < 2:
         raise ConfigError("--rounds must be >= 2")
     if sessions < 1 or treatments < 1:
         raise ConfigError("--sessions and --treatments must be >= 1")
-    sweep = None
-    if drive_sweep is not None:
-        try:
-            sweep = [float(x) for x in drive_sweep.split(",") if x.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"bad --drive-sweep: {exc}") from exc
-    if model == "square-cycle" and sweep:
-        treatments = len(sweep)
+    if model == "square-cycle" and drive_sweep:
+        treatments = len(drive_sweep)
     space = load_space(space_text)
     if model == "ring":
         space = triangle_3()
@@ -564,68 +462,167 @@ def _simulate_cmd(
         nbytes,
         "states",
     )
-    dos_vec = None
-    if dos is not None:
-        try:
-            dos_vec = [float(x) for x in dos.split(",") if x.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"bad --dos: {exc}") from exc
+    check_report_path(output_path, what="")
     try:
         datasets = _simulate_datasets(
-            model,
-            space,
-            root,
-            treatments=treatments,
-            sessions=sessions,
-            rounds=rounds,
-            p=p,
-            q=q,
-            forward=forward,
-            backward=backward,
-            drive_sweep=sweep,
-            dos=dos_vec,
+            model, space, root, treatments=treatments, sessions=sessions,
+            rounds=rounds, p=p, q=q, forward=forward, backward=backward,
+            drive_sweep=drive_sweep, dos=dos,
         )
         write_csv(datasets, output_path, encoding=encoding)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     rows = sum(d.n_rounds for d in datasets)
     _progress(f"wrote {rows} rows for {len(datasets)} treatment(s) to {output_path}")
-    _finish(
-        {
-            "command": "simulate",
-            "model": model,
-            "output": output_path,
-            "treatments": len(datasets),
-            "rows": rows,
-            "states": space.size,
-        }
+    return {"command": "simulate", "model": model, "output": output_path,
+            "treatments": len(datasets), "rows": rows, "states": space.size}
+
+
+# ---------------------------------------------------------------------------
+# argument parsing
+# ---------------------------------------------------------------------------
+
+
+def _float_list(text: str) -> list[float]:
+    """The value of --drive-sweep or --dos."""
+    try:
+        return [float(x) for x in text.split(",") if x.strip()]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+# flag -> add_argument keywords, for each of the four analysis commands
+_ANALYSIS_OPTIONS = {
+    "--input": dict(dest="input_path", required=True, metavar="PATH",
+                    help="CSV record file (see README for the schema)."),
+    "--output": dict(dest="output_path", required=True, metavar="PATH",
+                     help="Path of the JSON report to write."),
+    "--seed": dict(type=int, default=0,
+                   help="64-bit root seed for all Monte-Carlo draws."),
+    "--reps": dict(type=int, default=10_000,
+                   help="Monte-Carlo replicates per null distribution."),
+    "--zero-flux-policy": dict(dest="policy_text", default="skip",
+                               help="EPR zero-flux policy: skip, strict, or smooth=EPS."),
+    "--burn-in": dict(type=int, default=0,
+                      help="Rounds discarded at the start of every session."),
+    "--alpha": dict(type=float, default=0.001, help="Detection significance level."),
+    "--space": dict(dest="space_text", default="square",
+                    help="State space: square, triangle, or a JSON descriptor path."),
+    "--workers": dict(type=int, default=1,
+                      help="Worker processes for Monte-Carlo replicates."),
+    "--reproducible": dict(action="store_true",
+                           help="Omit the timestamp so identical runs are byte-identical."),
+}
+
+_SIMULATE_OPTIONS = {
+    "--model": dict(required=True, choices=["vnm", "ring", "square-cycle", "iid"],
+                    help="Generator: independent play, 3-state ring, driven square "
+                         "cycle, or i.i.d. draws from --dos."),
+    "--output": dict(dest="output_path", required=True, metavar="PATH",
+                     help="CSV file to write."),
+    "--seed": dict(type=int, default=0, help="64-bit root seed for all draws."),
+    "--treatments": dict(type=int, default=1, help="Treatments to write."),
+    "--sessions": dict(type=int, default=1, help="Sessions per treatment."),
+    "--rounds": dict(type=int, default=1000, help="Rounds per session."),
+    "--p": dict(type=float, default=0.5, help="vnm: P(row_action=1)."),
+    "--q": dict(type=float, default=0.5, help="vnm: P(col_action=1)."),
+    "--forward": dict(type=float, default=0.5,
+                      help="ring/square-cycle: forward step probability."),
+    "--backward": dict(type=float, default=0.25,
+                       help="ring/square-cycle: backward step probability."),
+    "--drive-sweep": dict(type=_float_list, help="square-cycle: comma list of "
+                          "forward values, one treatment each."),
+    "--dos": dict(type=_float_list, help="iid: comma list of state probabilities."),
+    "--encoding": dict(default="state", choices=["state", "actions"],
+                       help="Record columns: the state, or the two players' actions."),
+    "--space": _ANALYSIS_OPTIONS["--space"],
+}
+
+# command -> (help, options, run); each run returns the stdout summary, and
+# the lambdas look run_* up when called, so replacing one on this module
+# takes effect
+_COMMANDS = {
+    "analyze": ("Estimate chains and compute all observables per treatment.",
+                _ANALYSIS_OPTIONS, lambda **a: run_analyze(_make_config(**a))),
+    "minimax-test": ("Test the independent-randomization prediction against the data.",
+                     _ANALYSIS_OPTIONS, lambda **a: run_minimax(_make_config(**a))),
+    "cycle-test": ("Test each treatment's EPR against its finite-sample i.i.d. baseline.",
+                   _ANALYSIS_OPTIONS, lambda **a: run_cycle_test(_make_config(**a))),
+    "motion-fit": ("Fit motion against EPR across treatments (OLS with stderr and R^2).",
+                   _ANALYSIS_OPTIONS, lambda **a: run_motion_fit(_make_config(**a))),
+    "simulate": ("Write synthetic record files for any of the bundled generators.",
+                 _SIMULATE_OPTIONS, _simulate_cmd),
+}
+
+
+class _Formatter(argparse.HelpFormatter):
+    """Option help with the value's type and a [required] or [default: X] tag."""
+
+    def _get_default_metavar_for_optional(self, action):
+        return {int: "INTEGER", float: "FLOAT"}.get(action.type, "TEXT")
+
+    def _get_help_string(self, action):
+        if action.required:
+            return f"{action.help}  [required]"
+        if action.nargs == 0 or action.default is None:  # a flag, or no default
+            return action.help
+        return f"{action.help}  [default: %(default)s]"
+
+
+class _Parser(argparse.ArgumentParser):
+    """Whole option names only, and a usage error is a ConfigError (exit 1)
+    after the usage line, where argparse would exit 2."""
+
+    def __init__(self, **kwargs):
+        kwargs.update(allow_abbrev=False, add_help=False, formatter_class=_Formatter)
+        super().__init__(**kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
+def _parser() -> _Parser:
+    parser = _Parser(
+        prog="chainflux",
+        description="Markov-chain estimation and nonequilibrium observables for "
+        "recorded play sequences: entropy, entropy production rate, velocity, "
+        "motion, Monte-Carlo null models, and the associated statistical tests.",
     )
+    parser.add_argument("--version", action="version", help="Show the version and exit.",
+                        version=f"%(prog)s, version {__version__}")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for name, (text, options, _) in _COMMANDS.items():
+        command = commands.add_parser(name, help=text, description=text)
+        for flag, keywords in options.items():
+            command.add_argument(flag, **keywords)
+    return parser
 
 
 def main(argv=None) -> int:
     """Run the CLI and map exceptions to the documented exit codes."""
     try:
-        cli.main(args=argv, standalone_mode=False)
+        args = vars(_parser().parse_args(argv))
+        summary = _COMMANDS[args.pop("command")][2](**args)
+        print(json.dumps(summary, sort_keys=True), flush=True)
         return 0
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
-    except click.ClickException as exc:
-        exc.show()
-        return 1
-    except click.Abort:
+    except SystemExit as exc:  # argparse exits after printing --help or --version
+        return int(exc.code or 0)
+    except KeyboardInterrupt:
         return 1
     except ChainfluxError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr, flush=True)
         return 1
     except Exception as exc:  # noqa: BLE001 -- exit 2 is the contract
-        click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr, flush=True)
         return 2
 
 
 def entrypoint() -> None:
     code = main()
     # interpreter shutdown then skips walking and freeing the objects that
-    # numpy, click and chainflux made at import
+    # numpy and chainflux made at import
     gc.freeze()
     sys.exit(code)
 

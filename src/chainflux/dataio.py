@@ -761,22 +761,24 @@ def _jsonable(obj):
     raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
 
 
-def check_report_path(path) -> None:
-    """Fail early, before any work, when write_report could not create path.
+def check_report_path(path, what: str = "report to ") -> None:
+    """Fail early, before any work, when write_report (or, with what="",
+    write_csv) could not create path.
 
     Raises:
         ReportIoError: path (or, for a symlink, its target) exists and is not
-            a regular file, or its directory is missing or not writable.
+            a regular file, or its directory is missing or not writable; the
+            message reads "cannot write <what><path>: <reason>".
     """
     path = Path(path)
-    folder = _target(path, "report to ").parent
+    folder = _target(path, what).parent
     if not folder.is_dir():
         reason = f"no such directory {folder}"
     elif not os.access(folder, os.W_OK | os.X_OK):
         reason = f"directory {folder} is not writable"
     else:
         return
-    raise ReportIoError(f"cannot write report to {path}: {reason}")
+    raise ReportIoError(f"cannot write {what}{path}: {reason}")
 
 
 def _target(path: Path, what: str) -> Path:

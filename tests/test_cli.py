@@ -115,6 +115,22 @@ class TestSimulate:
         assert err.startswith(f"error: cannot write {out}: ")
         assert "internal error" not in err
 
+    def test_unwritable_output_fails_before_any_draw(self, capsys, monkeypatch, tmp_path):
+        import chainflux.cli as cli_module
+
+        def never(*args, **kwargs):
+            raise RuntimeError("drew before the output was checked")
+
+        monkeypatch.setattr(cli_module, "_simulate_datasets", never)
+        out = tmp_path / "no-dir" / "x.csv"
+        code, summary, err = run_cli(
+            capsys, "simulate", "--model", "square-cycle", "--rounds", "2000000",
+            "--output", str(out),
+        )
+        assert code == 1
+        assert summary is None
+        assert err == f"error: cannot write {out}: no such directory {out.parent}\n"
+
     def test_actions_off_the_square_exit_1_without_file(self, capsys, tmp_path):
         out = tmp_path / "ring.csv"
         code, summary, err = run_cli(
@@ -516,6 +532,61 @@ class TestExitCodesAndDeterminism:
     def test_missing_required_flag_exit_1(self, capsys):
         assert main(["analyze"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["frobnicate"],
+            ["analyze", "--output", "r.json"],
+            ["analyze", "--input", "d.csv", "--output", "r.json", "--reps", "abc"],
+            ["cycle-test", "--input", "d.csv", "--output", "r.json", "--alpha", "x"],
+            ["simulate", "--model", "bogus", "--output", "x.csv"],
+            ["simulate", "--model", "vnm", "--output", "x.csv", "--encoding", "x"],
+            # a prefix is not taken for the option it starts
+            ["analyze", "--inp", "d.csv", "--output", "r.json"],
+            [],
+        ],
+        ids=["unknown-command", "missing-input", "bad-int", "bad-float",
+             "bad-model", "bad-encoding", "abbreviated-option", "no-arguments"],
+    )
+    def test_usage_error_exit_1(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        Path("d.csv").write_text("treatment_id,session_id,round,state\nt,s,1,0\nt,s,2,1\n")
+        code, summary, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert summary is None
+        *usage, last = err.splitlines()
+        assert last.startswith("error: ")
+        assert all(line.startswith(" ") or line.startswith("usage: ") for line in usage)
+        assert os.listdir() == ["d.csv"]
+
+    def test_help_lists_every_default(self, capsys):
+        defaults = {
+            "analyze": {"--seed": "0", "--reps": "10000", "--zero-flux-policy": "skip",
+                        "--burn-in": "0", "--alpha": "0.001", "--space": "square",
+                        "--workers": "1"},
+            "simulate": {"--seed": "0", "--treatments": "1", "--sessions": "1",
+                         "--rounds": "1000", "--p": "0.5", "--q": "0.5",
+                         "--forward": "0.5", "--backward": "0.25",
+                         "--encoding": "state", "--space": "square"},
+        }
+        assert main(["--help"]) == 0
+        listing = capsys.readouterr().out
+        assert all(f"  {name} " in listing for name in [*defaults, "cycle-test"])
+        for command, flags in defaults.items():
+            assert main([command, "--help"]) == 0
+            text = " ".join(capsys.readouterr().out.split())  # undo line wrapping
+            for flag, default in flags.items():
+                assert re.search(rf" {flag} \S+ [^[]*\[default: {re.escape(default)}\]", text)
+
+    def test_interrupt_exit_1(self, capsys, monkeypatch, tmp_path):
+        import chainflux.cli as cli_module
+
+        def interrupted(config):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli_module, "run_analyze", interrupted)
+        assert run_cli(capsys, "analyze", *_io_args("analyze", tmp_path))[0] == 1
+
     def test_config_validated_before_reading_input(self, capsys, tmp_path):
         # invalid alpha beats the missing input file: config comes first
         code, _, err = run_cli(
@@ -806,16 +877,26 @@ class TestExitCodesAndDeterminism:
         assert err == f"error: cannot write report to {link}: it is not a regular file\n"
         assert link.is_symlink() and stat.S_ISFIFO(os.lstat(fifo).st_mode)
 
-    def _module_cli(self, *argv):
-        """Run `python -m chainflux.cli`, the entry point's own process."""
+    def _python(self, *argv):
+        """Run a child interpreter that imports chainflux from this tree."""
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(SRC), *filter(None, [env.get("PYTHONPATH")])]
         )
         return subprocess.run(
-            [sys.executable, "-m", "chainflux.cli", *argv],
+            [sys.executable, *argv],
             capture_output=True, text=True, env=env, timeout=120,
         )
+
+    def _module_cli(self, *argv):
+        """Run `python -m chainflux.cli`, the entry point's own process."""
+        return self._python("-m", "chainflux.cli", *argv)
+
+    def test_module_version_without_click(self):
+        child = self._python("-c", "import chainflux.cli, sys; print('click' in sys.modules)")
+        assert (child.returncode, child.stdout) == (0, "False\n"), child.stderr
+        child = self._module_cli("--version")
+        assert (child.returncode, child.stdout) == (0, "chainflux, version 0.1.0\n")
 
     def test_module_entrypoint_matches_in_process_run(self, capsys, tmp_path):
         data = simulate(capsys, tmp_path, "d.csv", "--model", "vnm", "--rounds", "30")
