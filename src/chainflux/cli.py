@@ -51,7 +51,7 @@ from .nullmodels import (
     vnm_null_distribution,
 )
 from .observables import ZeroFluxPolicy, epr, full_report
-from .stats import ols_fit, one_sample_t, paired_t, percentile_of, welch_t
+from .stats import ols_fit, paired_t, percentile_of, welch_t
 
 __all__ = [
     "main",
@@ -133,7 +133,7 @@ def _check_null_fits_memory(config: AnalysisConfig, observables: int) -> None:
 
 
 def _mc_exceedance_p(samples: np.ndarray, value: float) -> float:
-    """Add-one Monte-Carlo p-value for 'value is above the null'."""
+    """Add-one Monte-Carlo p-value for 'value is above the null'; negated, for 'below'."""
     return (1 + int(np.count_nonzero(samples >= value))) / (samples.size + 1)
 
 
@@ -250,17 +250,11 @@ def _minimax_treatment(config: AnalysisConfig, idx: int, data: TreatmentDataset)
             baseline_summary_dict(ent_null),
             baseline_summary_dict(epr_null),
         ],
-        "tests": {
-            "epr_vs_null_less": _safe_test(
-                one_sample_t, epr_null.samples, report.epr, "less"
-            ),
-            "entropy_vs_null_two_sided": _safe_test(
-                one_sample_t, ent_null.samples, report.entropy, "two_sided"
-            ),
-        },
         "epr_percentile": percentile_of(epr_null.samples, report.epr),
         "entropy_percentile": percentile_of(ent_null.samples, report.entropy),
         "epr_mc_p": _mc_exceedance_p(epr_null.samples, report.epr),
+        "entropy_mc_p": min(1.0, 2 * _mc_exceedance_p(ent_null.samples, report.entropy),
+                            2 * _mc_exceedance_p(-ent_null.samples, -report.entropy)),
     }
 
 
@@ -325,7 +319,6 @@ def _cycle_treatment(config: AnalysisConfig, idx: int, data: TreatmentDataset) -
         "epr": epr_value,
         "skipped_pairs": skipped,
         "baseline": baseline_summary_dict(baseline),
-        "test": _safe_test(one_sample_t, baseline.samples, epr_value, "less"),
         "percentile": percentile_of(baseline.samples, epr_value),
         "mc_exceedance_p": mc_p,
         "alpha": config.alpha,
@@ -570,13 +563,19 @@ class _Formatter(argparse.HelpFormatter):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Whole option names only, and a usage error is a ConfigError (exit 1)
-    after the usage line, where argparse would exit 2."""
+    """Whole option names only, each subcommand reports its own unknown options,
+    and a usage error is a ConfigError (exit 1) where argparse would exit 2."""
 
     def __init__(self, **kwargs):
         kwargs.update(allow_abbrev=False, add_help=False, formatter_class=_Formatter)
         super().__init__(**kwargs)
         self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
     def error(self, message):
         self.print_usage(sys.stderr)

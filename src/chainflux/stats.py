@@ -1,5 +1,5 @@
-"""Location tests against Monte-Carlo samples, paired comparisons, and
-simple OLS with standard errors.
+"""One-sample, paired and Welch t-tests, the percentile of a value in a
+sample, and simple OLS with standard errors.
 
 p-values come from a local Student-t CDF built on the regularized incomplete
 beta function (modified Lentz continued fraction, Numerical Recipes 6.4),

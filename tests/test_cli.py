@@ -13,8 +13,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chainflux import nullmodels
-from chainflux.cli import main
+from chainflux import (
+    Seed,
+    TreatmentDataset,
+    VnmParams,
+    nullmodels,
+    simulate_vnm,
+    square_2x2,
+)
+from chainflux.cli import _cycle_treatment, _make_config, _minimax_treatment, main
 from conftest import RING_EPR, fill_disk
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -324,8 +331,12 @@ class TestCycleTest:
         assert entry["cycle_detected"] is True
         assert entry["mc_exceedance_p"] < 0.001
         assert entry["percentile"] == 1.0
-        assert entry["test"]["p_value"] < 0.001
         assert entry["baseline"]["reps"] == 2000
+        assert set(entry) == {
+            "treatment_id", "n_observations", "epr", "skipped_pairs",
+            "baseline", "percentile", "mc_exceedance_p", "alpha",
+            "cycle_detected",
+        }
 
     def test_iid_not_detected(self, capsys, tmp_path):
         data = simulate(
@@ -417,10 +428,16 @@ class TestMinimaxTest:
             assert {b["observable"] for b in entry["baselines"]} == {
                 "entropy", "epr",
             }
-            assert "epr_vs_null_less" in entry["tests"]
-        assert "epr_paired_greater" in doc["tests"]
-        assert "epr_welch_greater" in doc["tests"]
-        assert "entropy_paired_two_sided" in doc["tests"]
+            assert set(entry) == {
+                "treatment_id", "n_observations", "p_hat", "q_hat",
+                "null_sessions", "null_rounds_per_session", "observables",
+                "baselines", "epr_percentile", "entropy_percentile",
+                "epr_mc_p", "entropy_mc_p",
+            }
+            assert 0.0 < entry["entropy_mc_p"] <= 1.0
+        assert set(doc["tests"]) == {
+            "epr_paired_greater", "epr_welch_greater", "entropy_paired_two_sided",
+        }
         assert 0.0 <= summary["epr_paired_p"] <= 1.0
 
     def test_driven_cycle_rejected(self, capsys, tmp_path):
@@ -471,6 +488,54 @@ class TestMinimaxTest:
         )
         assert code == 1
         assert "square" in err
+
+
+def _iid_dataset(seed: Seed, sessions: int, rounds: int) -> TreatmentDataset:
+    states = (seed.generator().random((sessions, rounds)) * 4).astype(np.int64)
+    return TreatmentDataset.from_rows("t", square_2x2(), states)
+
+
+class TestPerTreatmentSize:
+    """Each per-treatment p-value the reports keep, computed by the CLI's own
+    treatment code, rejects true nulls in at most 28 of 400 seeded runs at
+    alpha = 0.05 (7%); a p-value of exact size 5% fails this about 3% of the
+    time."""
+
+    @pytest.mark.parametrize(
+        "treat, make_data, keys, seed",
+        [
+            (_cycle_treatment, lambda s: _iid_dataset(s, 1, 192),
+             ("mc_exceedance_p",), 71001),
+            pytest.param(
+                _cycle_treatment, lambda s: _iid_dataset(s, 96, 2),
+                ("mc_exceedance_p",), 72001,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="dos_baseline draws the records as one session, so "
+                    "its null has more pairs than 96 two-round sessions and "
+                    "its EPR is too low (ROADMAP item 1)",
+                ),
+            ),
+            (_minimax_treatment,
+             lambda s: simulate_vnm(VnmParams(0.4, 0.6, 16, 12), square_2x2(), s),
+             ("epr_mc_p", "entropy_mc_p"), 73001),
+        ],
+        ids=["cycle-iid-1x192", "cycle-iid-96x2", "minimax-vnm-16x12"],
+    )
+    def test_at_most_7_percent_false_rejections(self, treat, make_data, keys, seed):
+        runs = 400
+        config = _make_config(
+            input_path=None, output_path=None, seed=seed, reps=1000,
+            policy_text="skip", burn_in=0, alpha=0.05, space_text="square",
+            workers=1, reproducible=True,
+        )
+        data_root = Seed(seed + 1)
+        rejections = dict.fromkeys(keys, 0)
+        for run in range(runs):
+            entry = treat(config, run, make_data(data_root.split(run)))
+            for key in keys:
+                rejections[key] += entry[key] < 0.05
+        assert all(count <= 28 for count in rejections.values()), rejections
 
 
 class TestMotionFit:
@@ -543,10 +608,13 @@ class TestExitCodesAndDeterminism:
             ["simulate", "--model", "vnm", "--output", "x.csv", "--encoding", "x"],
             # a prefix is not taken for the option it starts
             ["analyze", "--inp", "d.csv", "--output", "r.json"],
+            # an unknown option after valid ones names the subcommand's usage
+            ["analyze", "--input", "d.csv", "--output", "r.json", "--inp", "z"],
             [],
         ],
         ids=["unknown-command", "missing-input", "bad-int", "bad-float",
-             "bad-model", "bad-encoding", "abbreviated-option", "no-arguments"],
+             "bad-model", "bad-encoding", "abbreviated-option",
+             "unknown-option-after-subcommand", "no-arguments"],
     )
     def test_usage_error_exit_1(self, capsys, monkeypatch, tmp_path, argv):
         monkeypatch.chdir(tmp_path)
@@ -557,6 +625,8 @@ class TestExitCodesAndDeterminism:
         *usage, last = err.splitlines()
         assert last.startswith("error: ")
         assert all(line.startswith(" ") or line.startswith("usage: ") for line in usage)
+        if "--inp" in argv:  # the subcommand's parser reports its own options
+            assert usage[0].startswith("usage: chainflux analyze")
         assert os.listdir() == ["d.csv"]
 
     def test_help_lists_every_default(self, capsys):
@@ -985,14 +1055,14 @@ class TestGoldenReports:
             ),
             (
                 "cycle-test", "sweep", ("--reps", "200", "--alpha", "0.01"),
-                "1af195aad981c985289c0a2c265d2012dbffae1229156fe0e8a5fe863fb7ba61",
+                "ae1a2d82d8734a3ee59ff07c8eb2d26b2c9b9f7adf18d75bcf224610a55cc805",
                 {"command": "cycle-test", "detected": ["T02", "T03"],
                  "treatments": 3},
                 "0c624d459471059e376a651b876835d786007ed28423315c3850b813f4b30a2f",
             ),
             (
                 "minimax-test", "vnm", ("--reps", "100"),
-                "eff23387b9383fe7a7029a790e230846cbc308a88c1062a9a5839672b5f6a8ca",
+                "c9c01ca93662924231cc38ed3f095d6340509dfe6453a09fb1b41f2e97ad99c0",
                 {"command": "minimax-test", "epr_paired_p": 0.5988828648177722,
                  "treatments": 3},
                 "7f6ab0483429d8363445110a3eda7e79e1b7b47ced3bb2ddf5e63d3bcd32a0d5",
