@@ -24,22 +24,19 @@ from .core import (
     estimate_markov,
     is_square_2x2,
     stationarity_diagnostic,
-    triangle_3,
 )
 from .dataio import (
     AnalysisConfig,
-    baseline_summary_dict,
     check_report_path,
     load_csv,
     load_space,
-    observable_report_dict,
-    test_result_dict,
     write_csv,
     write_report,
 )
 from .errors import ChainfluxError, ConfigError, EmptyDataError, ZeroVarianceError
 from .nullmodels import (
     SQUARE_CYCLE_ORDER,
+    BaselineDistribution,
     Seed,
     VnmParams,
     cycle_transition,
@@ -51,7 +48,7 @@ from .nullmodels import (
     vnm_null_distribution,
 )
 from .observables import ZeroFluxPolicy, epr, full_report
-from .stats import ols_fit, paired_t, percentile_of, welch_t
+from .stats import TestResult, ols_fit, paired_t, percentile_of, welch_t
 
 __all__ = [
     "main",
@@ -137,11 +134,24 @@ def _mc_exceedance_p(samples: np.ndarray, value: float) -> float:
     return (1 + int(np.count_nonzero(samples >= value))) / (samples.size + 1)
 
 
-def _safe_test(fn, *args, **kwargs) -> dict:
+def _safe_test(fn, *args, **kwargs) -> TestResult | dict:
     try:
-        return test_result_dict(fn(*args, **kwargs))
+        return fn(*args, **kwargs)
     except ZeroVarianceError as exc:
         return {"error": "zero_variance", "detail": str(exc)}
+
+
+def _baseline_summary(baseline: BaselineDistribution) -> dict:
+    """A baseline as reports show it: its summary, without the samples."""
+    return {
+        "observable": baseline.observable_name,
+        "mean": baseline.mean,
+        "std": baseline.std,
+        "reps": baseline.reps,
+        "seed": baseline.seed,
+        "policy": baseline.policy.describe(),
+        "constraints": baseline.constraint_summary,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +192,6 @@ def _run(config: AnalysisConfig, command: str, treat, across=None) -> dict:
 def _analyze_treatment(config: AnalysisConfig, idx: int, data: TreatmentDataset) -> dict:
     est = estimate_markov(data, config.burn_in)
     report = full_report(est, config.policy)
-    diag = stationarity_diagnostic(data, config.burn_in)
     _progress(
         f"treatment {data.treatment_id}: n={est.n_observations} "
         f"entropy={report.entropy:.4f} epr={report.epr:.4f}"
@@ -196,12 +205,8 @@ def _analyze_treatment(config: AnalysisConfig, idx: int, data: TreatmentDataset)
         "counts": est.counts.tolist(),
         "occupancy": est.occupancy.tolist(),
         "has_outflow": est.has_outflow.tolist(),
-        "observables": observable_report_dict(report),
-        "stationarity": {
-            "first_half_dos": diag.first_half_dos.tolist(),
-            "second_half_dos": diag.second_half_dos.tolist(),
-            "linf_distance": diag.linf_distance,
-        },
+        "observables": report,
+        "stationarity": stationarity_diagnostic(data, config.burn_in),
     }
 
 
@@ -245,11 +250,8 @@ def _minimax_treatment(config: AnalysisConfig, idx: int, data: TreatmentDataset)
         "q_hat": params.q,
         "null_sessions": params.sessions,
         "null_rounds_per_session": params.rounds_per_session,
-        "observables": observable_report_dict(report),
-        "baselines": [
-            baseline_summary_dict(ent_null),
-            baseline_summary_dict(epr_null),
-        ],
+        "observables": report,
+        "baselines": [_baseline_summary(ent_null), _baseline_summary(epr_null)],
         "epr_percentile": percentile_of(epr_null.samples, report.epr),
         "entropy_percentile": percentile_of(ent_null.samples, report.entropy),
         "epr_mc_p": _mc_exceedance_p(epr_null.samples, report.epr),
@@ -263,8 +265,8 @@ def _minimax_across(entries: list[dict]) -> tuple[dict, dict, dict]:
     their null means; they need at least two treatments."""
     if len(entries) < 2:
         return {}, {}, {}
-    emp_epr = [e["observables"]["epr"] for e in entries]
-    emp_entropy = [e["observables"]["entropy"] for e in entries]
+    emp_epr = [e["observables"].epr for e in entries]
+    emp_entropy = [e["observables"].entropy for e in entries]
     null_entropy_mean = [e["baselines"][0]["mean"] for e in entries]
     null_epr_mean = [e["baselines"][1]["mean"] for e in entries]
     tests = {
@@ -279,7 +281,7 @@ def _minimax_across(entries: list[dict]) -> tuple[dict, dict, dict]:
         ),
     }
     paired = tests["epr_paired_greater"]
-    extras = {"epr_paired_p": paired["p_value"]} if "p_value" in paired else {}
+    extras = {"epr_paired_p": paired.p_value} if isinstance(paired, TestResult) else {}
     return tests, {}, extras
 
 
@@ -318,7 +320,7 @@ def _cycle_treatment(config: AnalysisConfig, idx: int, data: TreatmentDataset) -
         "n_observations": est.n_observations,
         "epr": epr_value,
         "skipped_pairs": skipped,
-        "baseline": baseline_summary_dict(baseline),
+        "baseline": _baseline_summary(baseline),
         "percentile": percentile_of(baseline.samples, epr_value),
         "mc_exceedance_p": mc_p,
         "alpha": config.alpha,
@@ -376,6 +378,10 @@ def run_motion_fit(config: AnalysisConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
+# the states each cycle model drives its chain around, in order
+_CYCLE_ORDERS = {"ring": (0, 1, 2), "square-cycle": SQUARE_CYCLE_ORDER}
+
+
 def _simulate_datasets(
     model: str,
     space: StateSpace,
@@ -402,12 +408,11 @@ def _simulate_datasets(
     r = space.size
 
     def chain_spec(t_index: int) -> tuple[np.ndarray, np.ndarray]:
-        if model == "ring":
-            return np.full(r, 1.0 / r), cycle_transition(r, (0, 1, 2), forward, backward)
-        if model == "square-cycle":
-            fwd = drive_sweep[t_index] if drive_sweep else forward
+        if model in _CYCLE_ORDERS:
+            sweep = model == "square-cycle" and drive_sweep
+            fwd = drive_sweep[t_index] if sweep else forward
             return np.full(r, 1.0 / r), cycle_transition(
-                r, SQUARE_CYCLE_ORDER, fwd, backward
+                r, _CYCLE_ORDERS[model], fwd, backward
             )
         if model == "iid":
             if dos is None:
@@ -438,13 +443,13 @@ def _simulate_cmd(
         raise ConfigError("--sessions and --treatments must be >= 1")
     if model == "square-cycle" and drive_sweep:
         treatments = len(drive_sweep)
-    space = load_space(space_text)
-    if model == "ring":
-        space = triangle_3()
-    if model == "square-cycle" and space.size != len(SQUARE_CYCLE_ORDER):
+    space = load_space(space_text or ("triangle" if model == "ring" else "square"))
+    order = _CYCLE_ORDERS.get(model)
+    if order and space.size != len(order):
         raise ConfigError(
-            f"--model square-cycle needs a 4-state space, since its cycle "
-            f"visits states 0 to 3; --space {space_text!r} has {space.size} states"
+            f"--model {model} needs a {len(order)}-state space, since its cycle "
+            f"visits states 0 to {len(order) - 1}; --space {space_text!r} has "
+            f"{space.size} states"
         )
     if model == "vnm":
         nbytes = simulate_vnm_bytes(treatments, sessions, rounds)
@@ -528,7 +533,11 @@ _SIMULATE_OPTIONS = {
     "--dos": dict(type=_float_list, help="iid: comma list of state probabilities."),
     "--encoding": dict(default="state", choices=["state", "actions"],
                        help="Record columns: the state, or the two players' actions."),
-    "--space": _ANALYSIS_OPTIONS["--space"],
+    # no default value, so that ring can tell a given --space from none
+    "--space": dict(dest="space_text",
+                    help="State space: square, triangle, or a JSON descriptor path; "
+                         "ring needs 3 states and defaults to the triangle.  "
+                         "[default: square]"),
 }
 
 # command -> (help, options, run); each run returns the stdout summary, and

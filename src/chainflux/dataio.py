@@ -30,9 +30,12 @@ grow with session length.
 
 Reports are a single strict JSON document (no NaN or Infinity); floats
 serialize via repr (17 significant digits), so write-then-parse round-trips
-bit-for-bit. Reports and record files are written to a temporary file
-beside the target and then renamed into place, so a failed write never
-leaves a partial file.
+bit-for-bit. A dataclass anywhere in a report is written as its fields
+(dataclasses.asdict), arrays as lists and numpy scalars as numbers; there is
+no per-type converter. A BaselineDistribution is never written whole: its
+samples stay out of reports, and callers write a summary of it instead.
+Reports and record files are written to a temporary file beside the target
+and then renamed into place, so a failed write never leaves a partial file.
 """
 
 from __future__ import annotations
@@ -68,9 +71,8 @@ from .errors import (
     ReportIoError,
     StateOutOfRangeError,
 )
-from .nullmodels import BaselineDistribution, Seed
-from .observables import ObservableReport, ZeroFluxPolicy
-from .stats import OlsFit, TestResult
+from .nullmodels import Seed
+from .observables import ZeroFluxPolicy
 
 __all__ = [
     "AnalysisConfig",
@@ -79,10 +81,6 @@ __all__ = [
     "write_csv",
     "check_report_path",
     "write_report",
-    "observable_report_dict",
-    "test_result_dict",
-    "ols_fit_dict",
-    "baseline_summary_dict",
 ]
 
 _STATE_HEADER = ["treatment_id", "session_id", "round", "state"]
@@ -722,38 +720,9 @@ def _csv_prefix(treatment_id, session_id) -> str:
     return buf.getvalue()[: -len("\r\n")]
 
 
-def observable_report_dict(report: ObservableReport) -> dict:
-    return {
-        "entropy": report.entropy,
-        "epr": report.epr,
-        "velocity": report.velocity.tolist(),
-        "motion": report.motion,
-        "skipped_pairs": report.skipped_pairs,
-        "policy_used": report.policy_used,
-    }
-
-
-def test_result_dict(result: TestResult) -> dict:
-    return dataclasses.asdict(result)
-
-
-def ols_fit_dict(fit: OlsFit) -> dict:
-    return dataclasses.asdict(fit)
-
-
-def baseline_summary_dict(baseline: BaselineDistribution) -> dict:
-    return {
-        "observable": baseline.observable_name,
-        "mean": baseline.mean,
-        "std": baseline.std,
-        "reps": baseline.reps,
-        "seed": baseline.seed,
-        "policy": baseline.policy.describe(),
-        "constraints": baseline.constraint_summary,
-    }
-
-
 def _jsonable(obj):
+    if dataclasses.is_dataclass(obj):
+        return dataclasses.asdict(obj)
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
@@ -808,8 +777,11 @@ def write_report(
     """Write the analysis document as one JSON file.
 
     reports: per-treatment entries (dicts, see the README schema).
-    tests:   mapping name -> across-treatment TestResult (or prepared dict).
-    fits:    mapping name -> OlsFit (or prepared dict).
+    tests:   mapping name -> across-treatment TestResult or dict.
+    fits:    mapping name -> OlsFit or dict.
+    Any dataclass in them is written as its fields (dataclasses.asdict),
+    with arrays as lists; none is dispatched on by type. Pass a summary of a
+    BaselineDistribution, never the distribution with its samples.
     The creation timestamp is suppressed when reproducible is True so that
     identical inputs produce byte-identical files.
 
@@ -823,14 +795,8 @@ def write_report(
         "tool": {"name": "chainflux", "version": __version__},
         "config": config or {},
         "treatments": list(reports),
-        "tests": {
-            name: test_result_dict(t) if isinstance(t, TestResult) else t
-            for name, t in dict(tests or {}).items()
-        },
-        "fits": {
-            name: ols_fit_dict(f) if isinstance(f, OlsFit) else f
-            for name, f in dict(fits or {}).items()
-        },
+        "tests": dict(tests or {}),
+        "fits": dict(fits or {}),
     }
     if not reproducible:
         document["created_at"] = datetime.now(timezone.utc).isoformat()

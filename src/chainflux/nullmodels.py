@@ -13,15 +13,17 @@ splitmix64 pass over their indices, bit-equal to Seed.split, and one Philox
 is re-keyed to each in turn; Seed.split and Seed.generator stay the
 definition of the stream.
 
-Replicates are drawn in blocks: one (B, n) array of at most _BLOCK_DRAWS
-uniforms, mapped to flat (B, n) states laid out like a dataset's (the
-i.i.d. null as one session, the independent-play null as equal-length
-sessions one after another), and counted by core.pair_counts, the kernel
-estimate_markov uses, with the index of each session's last state. States
-are held in the narrowest integer type that fits them. The counts of
-consecutive blocks are gathered in groups of up to _GROUP_CELLS pair
-counts, and each group's chains and observables are evaluated in one
-batched call.
+Replicates are drawn in blocks of B replicates: one (B, n) array of at
+most _BLOCK_DRAWS uniforms, mapped to flat (B, n) states laid out like a
+dataset's (the i.i.d. null as one session, the independent-play null as
+equal-length sessions one after another), and counted by core.pair_counts,
+the kernel estimate_markov uses, with the index of each session's last
+state. A block also holds at most _BLOCK_CELLS pair counts (B·r²), so its
+(B, r, r) arrays stay small on many states. States are held in the
+narrowest integer type that fits them. The counts of consecutive blocks
+are gathered in groups of up to _GROUP_CELLS pair counts (a group is never
+smaller than one block), and each group's chains and observables are
+evaluated in one batched call.
 
 A uniform u maps to the state that counts the cumulative-probability cuts
 at or below it (_cuts). The nulls compare whole blocks against the cuts.
@@ -40,7 +42,7 @@ from __future__ import annotations
 import itertools
 import os
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -74,6 +76,11 @@ _MASK64 = (1 << 64) - 1
 _NORM_TOL = 1e-9
 # Uniform draws per replicate block; larger blocks only cost memory.
 _BLOCK_DRAWS = 2**15
+# Pair counts per replicate block, 8 MiB per int64 (B, r, r) array: caps a
+# block's count, transition and flux arrays, which grow as B·r², on many
+# states. A cap of _BLOCK_DRAWS or _GROUP_CELLS cells was 1.2-4x slower at
+# r = 64-300 (dos_baseline, 400 replicates of 192 records).
+_BLOCK_CELLS = 2**20
 # Pair counts per evaluation group: enough replicates to amortize the fixed
 # cost of evaluating chains when blocks are small, little enough memory.
 _GROUP_CELLS = 2**12
@@ -458,13 +465,14 @@ def _replicate_chains(
     [lo, hi): rows slices the group out of an array over [lo, hi), and
     dos and flux have shapes (G, r) and (G, r, r).
 
-    block_states(start, stop) returns the states of one draw block of at
-    most _BLOCK_DRAWS uniforms, shape (B, n), whose sessions end at the
-    indices `ends` (see core.pair_counts). A group gathers the counts of
-    whole blocks, up to _GROUP_CELLS pair counts, so that chains and
-    observables are evaluated once per group, not once per block.
+    block_states(start, stop) returns the states of one draw block, shape
+    (B, n), whose sessions end at the indices `ends` (see core.pair_counts):
+    at most _BLOCK_DRAWS uniforms and _BLOCK_CELLS pair counts, and at least
+    one replicate. A group gathers the counts of whole blocks, up to
+    _GROUP_CELLS pair counts, so that chains and observables are evaluated
+    once per group, not once per block.
     """
-    block = max(1, _BLOCK_DRAWS // draws)
+    block = max(1, min(_BLOCK_DRAWS // draws, _BLOCK_CELLS // (r * r)))
     group = block * max(1, _GROUP_CELLS // (block * r * r))
     for group_lo in range(lo, hi, group):
         group_hi = min(group_lo + group, hi)
@@ -579,12 +587,7 @@ def vnm_null_distribution(
     results = _run_chunks(_vnm_chunk, (params, policy, seed), reps, workers)
     ent = np.concatenate([r[0] for r in results])
     pro = np.concatenate([r[1] for r in results])
-    constraint = {
-        "p": params.p,
-        "q": params.q,
-        "sessions": params.sessions,
-        "rounds_per_session": params.rounds_per_session,
-    }
+    constraint = asdict(params)
     return (
         BaselineDistribution("entropy", ent, seed.root, policy, constraint),
         BaselineDistribution("epr", pro, seed.root, policy, constraint),

@@ -22,6 +22,7 @@ from chainflux import (
     square_2x2,
 )
 from chainflux.cli import _cycle_treatment, _make_config, _minimax_treatment, main
+from chainflux.errors import ZeroVarianceError
 from conftest import RING_EPR, fill_disk
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -199,6 +200,38 @@ class TestSimulate:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("space", ["square", "five.json"])
+    def test_ring_off_a_3_state_space_exit_1(self, capsys, tmp_path, space):
+        if space == "five.json":
+            descriptor = tmp_path / space
+            descriptor.write_text(json.dumps(
+                {"labels": list("abcde"), "coordinates": [[k, 0] for k in range(5)]}
+            ))
+            space = str(descriptor)
+        out = tmp_path / "x.csv"
+        code, summary, err = run_cli(
+            capsys, "simulate", "--model", "ring", "--space", space,
+            "--rounds", "10", "--output", str(out),
+        )
+        size = 4 if space == "square" else 5
+        assert code == 1
+        assert summary is None
+        assert err == (
+            f"error: --model ring needs a 3-state space, since its cycle "
+            f"visits states 0 to 2; --space {space!r} has {size} states\n"
+        )
+        assert not out.exists()
+
+    def test_ring_defaults_to_the_triangle(self, capsys, tmp_path):
+        args = ("--model", "ring", "--rounds", "10", "--seed", "2")
+        default = simulate(capsys, tmp_path, "a.csv", *args)
+        code, summary, _ = run_cli(
+            capsys, "simulate", *args, "--space", "triangle",
+            "--output", str(tmp_path / "b.csv"),
+        )
+        assert code == 0 and summary["states"] == 3
+        assert default.read_bytes() == (tmp_path / "b.csv").read_bytes()
+
     def test_failed_write_exit_1_without_file(self, capsys, monkeypatch, tmp_path):
         fill_disk(monkeypatch, room=100)
         out = tmp_path / "x.csv"
@@ -332,6 +365,12 @@ class TestCycleTest:
         assert entry["mc_exceedance_p"] < 0.001
         assert entry["percentile"] == 1.0
         assert entry["baseline"]["reps"] == 2000
+        # the baseline's summary: every field but its samples
+        assert set(entry["baseline"]) == {
+            "observable", "mean", "std", "reps", "seed", "policy", "constraints",
+        }
+        assert entry["baseline"]["policy"] == {"mode": "skip"}
+        assert set(entry["baseline"]["constraints"]) == {"dos", "n_rounds"}
         assert set(entry) == {
             "treatment_id", "n_observations", "epr", "skipped_pairs",
             "baseline", "percentile", "mc_exceedance_p", "alpha",
@@ -428,6 +467,11 @@ class TestMinimaxTest:
             assert {b["observable"] for b in entry["baselines"]} == {
                 "entropy", "epr",
             }
+            for baseline in entry["baselines"]:
+                assert baseline["constraints"] == {
+                    "p": entry["p_hat"], "q": entry["q_hat"], "sessions": 2,
+                    "rounds_per_session": 400,
+                }
             assert set(entry) == {
                 "treatment_id", "n_observations", "p_hat", "q_hat",
                 "null_sessions", "null_rounds_per_session", "observables",
@@ -478,6 +522,35 @@ class TestMinimaxTest:
         for entry in json.loads(out.read_text())["treatments"]:
             assert entry["null_sessions"] == 1
             assert entry["null_rounds_per_session"] == 58
+
+    def test_zero_variance_paired_tests_reported(self, capsys, monkeypatch, tmp_path):
+        import chainflux.cli as cli_module
+
+        def constant_differences(*args):
+            raise ZeroVarianceError("paired differences are constant")
+
+        monkeypatch.setattr(cli_module, "paired_t", constant_differences)
+        data = simulate(
+            capsys, tmp_path, "vnm.csv", "--model", "vnm", "--treatments", "3",
+            "--sessions", "2", "--rounds", "40", "--seed", "3",
+        )
+        out = tmp_path / "mm.json"
+        code, summary, err = run_cli(
+            capsys, "minimax-test", "--input", str(data), "--output", str(out),
+            "--reps", "50", "--reproducible",
+        )
+        assert code == 0, err
+        tests = json.loads(out.read_text())["tests"]
+        for name in ("epr_paired_greater", "entropy_paired_two_sided"):
+            assert tests[name] == {
+                "error": "zero_variance",
+                "detail": "paired differences are constant",
+            }
+        assert set(tests["epr_welch_greater"]) == {
+            "statistic", "p_value", "dof", "n", "direction",
+        }
+        assert tests["epr_welch_greater"]["direction"] == "greater"
+        assert "epr_paired_p" not in summary
 
     def test_requires_square_space(self, capsys, tmp_path):
         data = simulate(capsys, tmp_path, "ring.csv", "--model", "ring",

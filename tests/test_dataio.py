@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -12,18 +13,14 @@ from chainflux import (
     Seed,
     ZeroFluxPolicy,
     estimate_markov,
+    full_report,
     load_csv,
     load_space,
     square_2x2,
+    stationarity_diagnostic,
     write_csv,
     write_report,
 )
-from chainflux.dataio import (
-    baseline_summary_dict,
-    observable_report_dict,
-    ols_fit_dict,
-)
-from chainflux.dataio import test_result_dict as result_dict
 from chainflux.errors import (
     ConfigError,
     MixedEncodingsError,
@@ -283,26 +280,38 @@ class TestWriteReport:
         write_report([entry], {"t1": test}, {"f1": fit}, b, reproducible=True)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_converters_produce_plain_dicts(self, square_space):
-        from chainflux import dos_baseline, full_report
-        from chainflux.core import MarkovEstimate
+    def test_dataclasses_written_as_their_fields(self, tmp_path):
+        data = make_dataset([[0, 1, 3, 2, 0, 1, 3, 3], [2, 3, 1, 0]])
+        report = full_report(estimate_markov(data))
+        diag = stationarity_diagnostic(data)
+        test = one_sample_t([1.0, 2.0, 4.0], 0.0)
+        fit = ols_fit([1.0, 2, 3], [1.0, 2.5, 2.9])
+        out = tmp_path / "r.json"
+        entry = {"observables": report, "stationarity": diag}
+        write_report([entry], {"t": test}, {"f": fit}, out, reproducible=True)
+        doc = json.loads(out.read_text())
 
-        est = MarkovEstimate.from_exact(
-            square_space, [0.25] * 4, np.full((4, 4), 0.25)
-        )
-        report = observable_report_dict(full_report(est))
-        assert report["entropy"] == 1.0
-        assert isinstance(report["velocity"], list)
-        baseline = dos_baseline(
-            [0.25] * 4, 50, 5, ZeroFluxPolicy.skip(), Seed(3)
-        )
-        summary = baseline_summary_dict(baseline)
-        assert summary["reps"] == 5
-        assert summary["policy"] == {"mode": "skip"}
-        fit = ols_fit_dict(ols_fit([1.0, 2, 3], [1.0, 2, 3]))
-        assert fit["n"] == 3
-        result = result_dict(one_sample_t([1.0, 2.0], 0.0))
-        assert result["direction"] == "two_sided"
+        def fields(obj):
+            return {
+                name: value.tolist() if isinstance(value, np.ndarray) else value
+                for name, value in dataclasses.asdict(obj).items()
+            }
+
+        assert doc["treatments"] == [
+            {"observables": fields(report), "stationarity": fields(diag)}
+        ]
+        assert doc["tests"] == {"t": fields(test)}
+        assert doc["fits"] == {"f": fields(fit)}
+
+    def test_nan_in_a_dataclass_raises_and_writes_nothing(self, tmp_path):
+        fit = ols_fit([1.0, 2, 3], [1.0, 2.5, 2.9])
+        out = tmp_path / "r.json"
+        with pytest.raises(ReportIoError, match="not valid JSON"):
+            write_report(
+                [], {}, {"f": dataclasses.replace(fit, r_squared=float("nan"))},
+                out, reproducible=True,
+            )
+        assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_path_raises(self, tmp_path):
         with pytest.raises(ReportIoError):

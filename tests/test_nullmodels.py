@@ -6,6 +6,7 @@ import concurrent.futures
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from concurrent.futures import Future
 
@@ -399,6 +400,17 @@ class TestDosBaseline:
         with pytest.raises(ValueError):
             dos_baseline([0.25] * 4, 100, 1, SKIP, Seed(0))
 
+    def test_memory_bounded_on_many_states(self):
+        # a block's (B, r, r) arrays are capped at 2**20 cells, which keeps
+        # the peak near 36 MiB; blocks of 170 replicates peak near 540 MiB
+        tracemalloc.start()
+        try:
+            dos_baseline(np.full(300, 1 / 300), 192, 400, SKIP, Seed(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
+
     def test_constraint_summary(self):
         baseline = dos_baseline([0.5, 0.5, 0.0, 0.0], 64, 8, SKIP, Seed(9))
         assert baseline.constraint_summary["n_rounds"] == 64
@@ -424,13 +436,16 @@ class TestBlockKernelMatchesLoop:
             (_sparse_dos(256), 20000, 3),
             (_sparse_dos(257), 20000, 3),
             # per-replicate offsets: B*r*r = 256 at B = 16 (uint8), B = 2
-            # (uint16), B = 32 and B = 819 (int64)
+            # (uint16), B = 11 and B = 819 (int64)
             (_sparse_dos(4), 2048, 40),
             (_sparse_dos(16), 16384, 4),
             (_sparse_dos(300), 1000, 40),
             (_sparse_dos(16), 40, 900),
             # evaluation groups of 42 six-replicate blocks: 252, 252, 96
             (_sparse_dos(4), 5000, 600),
+            # 2**20 pair counts cap blocks at 46 replicates where 2**15 draws
+            # allow 170: blocks of 46, 46 and 8
+            (np.full(150, 1 / 150), 192, 100),
         ],
     )
     def test_dos_baseline_bit_identical(self, dos, n_rounds, reps, policy):
