@@ -26,7 +26,6 @@ from .dataio import (
     write_report,
 )
 from .nullmodels import (
-    BaselineDistribution,
     Seed,
     VnmParams,
     cycle_transition,
@@ -80,7 +79,6 @@ __all__ = [
     "full_report",
     "Seed",
     "VnmParams",
-    "BaselineDistribution",
     "cycle_transition",
     "simulate_chain",
     "simulate_sessions",

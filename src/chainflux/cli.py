@@ -9,6 +9,7 @@ line. Exit codes: 0 success, 1 data/config/usage error, 2 internal error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import json
 import os
@@ -36,7 +37,6 @@ from .dataio import (
 from .errors import ChainfluxError, ConfigError, EmptyDataError, ZeroVarianceError
 from .nullmodels import (
     SQUARE_CYCLE_ORDER,
-    BaselineDistribution,
     Seed,
     VnmParams,
     cycle_transition,
@@ -78,30 +78,11 @@ def _seed(value: int) -> Seed:
         raise ConfigError("--seed must be a 64-bit unsigned integer") from exc
 
 
-def _make_config(
-    *,
-    input_path: str | None,
-    output_path: str | None,
-    seed: int,
-    reps: int,
-    policy_text: str,
-    burn_in: int,
-    alpha: float,
-    space_text: str,
-    workers: int,
-    reproducible: bool,
-) -> AnalysisConfig:
+def _config(seed: int, space: str, policy: str, **fields) -> AnalysisConfig:
+    """The analysis options as an AnalysisConfig: the typed ones are
+    converted in this order, so the first bad one is the error reported."""
     return AnalysisConfig(
-        seed=_seed(seed),
-        space=load_space(space_text),
-        policy=_parse_policy(policy_text),
-        input=input_path,
-        output=output_path,
-        burn_in=burn_in,
-        mc_reps=reps,
-        alpha=alpha,
-        workers=workers,
-        reproducible=reproducible,
+        seed=_seed(seed), space=load_space(space), policy=_parse_policy(policy), **fields
     )
 
 
@@ -141,16 +122,17 @@ def _safe_test(fn, *args, **kwargs) -> TestResult | dict:
         return {"error": "zero_variance", "detail": str(exc)}
 
 
-def _baseline_summary(baseline: BaselineDistribution) -> dict:
-    """A baseline as reports show it: its summary, without the samples."""
+def _baseline_summary(observable, samples, config, seed, constraints) -> dict:
+    """A null's samples as reports show them: their summary and the null's
+    seed, policy and constraints."""
     return {
-        "observable": baseline.observable_name,
-        "mean": baseline.mean,
-        "std": baseline.std,
-        "reps": baseline.reps,
-        "seed": baseline.seed,
-        "policy": baseline.policy.describe(),
-        "constraints": baseline.constraint_summary,
+        "observable": observable,
+        "mean": float(samples.mean()),
+        "std": float(samples.std(ddof=1)),
+        "reps": samples.size,
+        "seed": seed.root,
+        "policy": config.policy.describe(),
+        "constraints": constraints,
     }
 
 
@@ -232,16 +214,18 @@ def _minimax_treatment(config: AnalysisConfig, idx: int, data: TreatmentDataset)
     est = estimate_markov(data, config.burn_in)
     report = full_report(est, config.policy)
     params = _vnm_params_from(est, data, config.burn_in)
+    seed = config.seed.split(idx)
     ent_null, epr_null = vnm_null_distribution(
-        params,
-        config.mc_reps,
-        config.policy,
-        config.seed.split(idx),
-        workers=config.workers,
+        params, config.mc_reps, config.policy, seed, workers=config.workers
     )
+    constraints = dataclasses.asdict(params)
+    baselines = [
+        _baseline_summary("entropy", ent_null, config, seed, constraints),
+        _baseline_summary("epr", epr_null, config, seed, constraints),
+    ]
     _progress(
         f"treatment {data.treatment_id}: epr={report.epr:.4f} "
-        f"null mean={epr_null.mean:.4f} (reps={config.mc_reps})"
+        f"null mean={baselines[1]['mean']:.4f} (reps={config.mc_reps})"
     )
     return {
         "treatment_id": data.treatment_id,
@@ -251,12 +235,12 @@ def _minimax_treatment(config: AnalysisConfig, idx: int, data: TreatmentDataset)
         "null_sessions": params.sessions,
         "null_rounds_per_session": params.rounds_per_session,
         "observables": report,
-        "baselines": [_baseline_summary(ent_null), _baseline_summary(epr_null)],
-        "epr_percentile": percentile_of(epr_null.samples, report.epr),
-        "entropy_percentile": percentile_of(ent_null.samples, report.entropy),
-        "epr_mc_p": _mc_exceedance_p(epr_null.samples, report.epr),
-        "entropy_mc_p": min(1.0, 2 * _mc_exceedance_p(ent_null.samples, report.entropy),
-                            2 * _mc_exceedance_p(-ent_null.samples, -report.entropy)),
+        "baselines": baselines,
+        "epr_percentile": percentile_of(epr_null, report.epr),
+        "entropy_percentile": percentile_of(ent_null, report.entropy),
+        "epr_mc_p": _mc_exceedance_p(epr_null, report.epr),
+        "entropy_mc_p": min(1.0, 2 * _mc_exceedance_p(ent_null, report.entropy),
+                            2 * _mc_exceedance_p(-ent_null, -report.entropy)),
     }
 
 
@@ -300,19 +284,18 @@ def run_minimax(config: AnalysisConfig) -> dict:
 def _cycle_treatment(config: AnalysisConfig, idx: int, data: TreatmentDataset) -> dict:
     est = estimate_markov(data, config.burn_in)
     epr_value, skipped = epr(est, config.policy)
-    baseline = dos_baseline(
-        est.dos,
-        est.n_observations,
-        config.mc_reps,
-        config.policy,
-        config.seed.split(idx),
+    seed = config.seed.split(idx)
+    samples = dos_baseline(
+        est.dos, est.n_observations, config.mc_reps, config.policy, seed,
         workers=config.workers,
     )
-    mc_p = _mc_exceedance_p(baseline.samples, epr_value)
+    constraints = {"dos": est.dos.tolist(), "n_rounds": est.n_observations}
+    baseline = _baseline_summary("epr", samples, config, seed, constraints)
+    mc_p = _mc_exceedance_p(samples, epr_value)
     is_detected = mc_p < config.alpha
     _progress(
         f"treatment {data.treatment_id}: epr={epr_value:.4f} "
-        f"baseline mean={baseline.mean:.4f} mc_p={mc_p:.2e} "
+        f"baseline mean={baseline['mean']:.4f} mc_p={mc_p:.2e} "
         f"detected={is_detected}"
     )
     return {
@@ -320,8 +303,8 @@ def _cycle_treatment(config: AnalysisConfig, idx: int, data: TreatmentDataset) -
         "n_observations": est.n_observations,
         "epr": epr_value,
         "skipped_pairs": skipped,
-        "baseline": _baseline_summary(baseline),
-        "percentile": percentile_of(baseline.samples, epr_value),
+        "baseline": baseline,
+        "percentile": percentile_of(samples, epr_value),
         "mc_exceedance_p": mc_p,
         "alpha": config.alpha,
         "cycle_detected": is_detected,
@@ -380,27 +363,34 @@ def run_motion_fit(config: AnalysisConfig) -> dict:
 
 # the states each cycle model drives its chain around, in order
 _CYCLE_ORDERS = {"ring": (0, 1, 2), "square-cycle": SQUARE_CYCLE_ORDER}
+# model -> {option: default} of the options that only that model takes
+_MODEL_OPTIONS = {
+    "vnm": {"p": 0.5, "q": 0.5},
+    "ring": {"forward": 0.5, "backward": 0.25},
+    "square-cycle": {"forward": 0.5, "backward": 0.25, "drive_sweep": None},
+    "iid": {"dos": None},
+}
+# These and the model options parse to None, so that a given value can be
+# told from none; help shows the defaults from here.
+_UNSET_DEFAULTS = {"treatments": 1, "space_text": "square"}
+for _options in _MODEL_OPTIONS.values():
+    _UNSET_DEFAULTS.update(_options)
 
 
 def _simulate_datasets(
     model: str,
     space: StateSpace,
     seed: Seed,
+    options: dict,
     *,
     treatments: int,
     sessions: int,
     rounds: int,
-    p: float,
-    q: float,
-    forward: float,
-    backward: float,
-    drive_sweep: list[float] | None,
-    dos: list[float] | None,
 ) -> list[TreatmentDataset]:
     """Map the `simulate` flags to generator calls, one dataset per treatment."""
     tids = [f"T{t + 1:02d}" for t in range(treatments)]
     if model == "vnm":
-        params = VnmParams(p=p, q=q, sessions=sessions, rounds_per_session=rounds)
+        params = VnmParams(options["p"], options["q"], sessions, rounds)
         return [
             simulate_vnm(params, space, seed.split(t), treatment_id=tid)
             for t, tid in enumerate(tids)
@@ -409,15 +399,15 @@ def _simulate_datasets(
 
     def chain_spec(t_index: int) -> tuple[np.ndarray, np.ndarray]:
         if model in _CYCLE_ORDERS:
-            sweep = model == "square-cycle" and drive_sweep
-            fwd = drive_sweep[t_index] if sweep else forward
+            sweep = options.get("drive_sweep")
+            fwd = sweep[t_index] if sweep else options["forward"]
             return np.full(r, 1.0 / r), cycle_transition(
-                r, _CYCLE_ORDERS[model], fwd, backward
+                r, _CYCLE_ORDERS[model], fwd, options["backward"]
             )
         if model == "iid":
-            if dos is None:
+            if options["dos"] is None:
                 raise ConfigError("--dos is required for the iid model")
-            vec = np.asarray(dos, dtype=float)
+            vec = np.asarray(options["dos"], dtype=float)
             if vec.size != r:
                 raise ConfigError(f"--dos has {vec.size} entries but the space has r={r}")
             return vec, np.tile(vec, (r, 1))
@@ -432,17 +422,31 @@ def _simulate_datasets(
 
 
 def _simulate_cmd(
-    model, output_path, seed, treatments, sessions, rounds, p, q,
-    forward, backward, drive_sweep, dos, encoding, space_text,
+    model, output_path, seed, treatments, sessions, rounds, encoding, space_text,
+    **given,
 ) -> dict:
     """Write synthetic record files for any of the bundled generators."""
     root = _seed(seed)
+    given = {name: value for name, value in given.items() if value is not None}
+    for name in given:
+        if name not in _MODEL_OPTIONS[model]:
+            raise ConfigError(f"--{name.replace('_', '-')} does not apply to --model {model}")
+    options = {**_MODEL_OPTIONS[model], **given}
+    sweep = options.get("drive_sweep")
+    if sweep is not None:
+        if not sweep:
+            raise ConfigError("--drive-sweep needs at least one value")
+        if treatments not in (None, len(sweep)):
+            raise ConfigError(
+                f"--treatments {treatments} differs from the {len(sweep)} "
+                f"values of --drive-sweep"
+            )
+        treatments = len(sweep)
+    treatments = _UNSET_DEFAULTS["treatments"] if treatments is None else treatments
     if rounds < 2:
         raise ConfigError("--rounds must be >= 2")
     if sessions < 1 or treatments < 1:
         raise ConfigError("--sessions and --treatments must be >= 1")
-    if model == "square-cycle" and drive_sweep:
-        treatments = len(drive_sweep)
     space = load_space(space_text or ("triangle" if model == "ring" else "square"))
     order = _CYCLE_ORDERS.get(model)
     if order and space.size != len(order):
@@ -463,9 +467,8 @@ def _simulate_cmd(
     check_report_path(output_path, what="")
     try:
         datasets = _simulate_datasets(
-            model, space, root, treatments=treatments, sessions=sessions,
-            rounds=rounds, p=p, q=q, forward=forward, backward=backward,
-            drive_sweep=drive_sweep, dos=dos,
+            model, space, root, options, treatments=treatments, sessions=sessions,
+            rounds=rounds,
         )
         write_csv(datasets, output_path, encoding=encoding)
     except ValueError as exc:
@@ -491,20 +494,20 @@ def _float_list(text: str) -> list[float]:
 
 # flag -> add_argument keywords, for each of the four analysis commands
 _ANALYSIS_OPTIONS = {
-    "--input": dict(dest="input_path", required=True, metavar="PATH",
+    "--input": dict(required=True, metavar="PATH",
                     help="CSV record file (see README for the schema)."),
-    "--output": dict(dest="output_path", required=True, metavar="PATH",
+    "--output": dict(required=True, metavar="PATH",
                      help="Path of the JSON report to write."),
     "--seed": dict(type=int, default=0,
                    help="64-bit root seed for all Monte-Carlo draws."),
-    "--reps": dict(type=int, default=10_000,
+    "--reps": dict(dest="mc_reps", type=int, default=10_000,
                    help="Monte-Carlo replicates per null distribution."),
-    "--zero-flux-policy": dict(dest="policy_text", default="skip",
+    "--zero-flux-policy": dict(dest="policy", default="skip",
                                help="EPR zero-flux policy: skip, strict, or smooth=EPS."),
     "--burn-in": dict(type=int, default=0,
                       help="Rounds discarded at the start of every session."),
     "--alpha": dict(type=float, default=0.001, help="Detection significance level."),
-    "--space": dict(dest="space_text", default="square",
+    "--space": dict(default="square",
                     help="State space: square, triangle, or a JSON descriptor path."),
     "--workers": dict(type=int, default=1,
                       help="Worker processes for Monte-Carlo replicates."),
@@ -519,25 +522,21 @@ _SIMULATE_OPTIONS = {
     "--output": dict(dest="output_path", required=True, metavar="PATH",
                      help="CSV file to write."),
     "--seed": dict(type=int, default=0, help="64-bit root seed for all draws."),
-    "--treatments": dict(type=int, default=1, help="Treatments to write."),
+    "--treatments": dict(type=int, help="Treatments to write."),
     "--sessions": dict(type=int, default=1, help="Sessions per treatment."),
     "--rounds": dict(type=int, default=1000, help="Rounds per session."),
-    "--p": dict(type=float, default=0.5, help="vnm: P(row_action=1)."),
-    "--q": dict(type=float, default=0.5, help="vnm: P(col_action=1)."),
-    "--forward": dict(type=float, default=0.5,
-                      help="ring/square-cycle: forward step probability."),
-    "--backward": dict(type=float, default=0.25,
-                       help="ring/square-cycle: backward step probability."),
+    "--p": dict(type=float, help="vnm: P(row_action=1)."),
+    "--q": dict(type=float, help="vnm: P(col_action=1)."),
+    "--forward": dict(type=float, help="ring/square-cycle: forward step probability."),
+    "--backward": dict(type=float, help="ring/square-cycle: backward step probability."),
     "--drive-sweep": dict(type=_float_list, help="square-cycle: comma list of "
                           "forward values, one treatment each."),
     "--dos": dict(type=_float_list, help="iid: comma list of state probabilities."),
     "--encoding": dict(default="state", choices=["state", "actions"],
                        help="Record columns: the state, or the two players' actions."),
-    # no default value, so that ring can tell a given --space from none
     "--space": dict(dest="space_text",
                     help="State space: square, triangle, or a JSON descriptor path; "
-                         "ring needs 3 states and defaults to the triangle.  "
-                         "[default: square]"),
+                         "ring needs 3 states and defaults to the triangle."),
 }
 
 # command -> (help, options, run); each run returns the stdout summary, and
@@ -545,13 +544,13 @@ _SIMULATE_OPTIONS = {
 # takes effect
 _COMMANDS = {
     "analyze": ("Estimate chains and compute all observables per treatment.",
-                _ANALYSIS_OPTIONS, lambda **a: run_analyze(_make_config(**a))),
+                _ANALYSIS_OPTIONS, lambda **a: run_analyze(_config(**a))),
     "minimax-test": ("Test the independent-randomization prediction against the data.",
-                     _ANALYSIS_OPTIONS, lambda **a: run_minimax(_make_config(**a))),
+                     _ANALYSIS_OPTIONS, lambda **a: run_minimax(_config(**a))),
     "cycle-test": ("Test each treatment's EPR against its finite-sample i.i.d. baseline.",
-                   _ANALYSIS_OPTIONS, lambda **a: run_cycle_test(_make_config(**a))),
+                   _ANALYSIS_OPTIONS, lambda **a: run_cycle_test(_config(**a))),
     "motion-fit": ("Fit motion against EPR across treatments (OLS with stderr and R^2).",
-                   _ANALYSIS_OPTIONS, lambda **a: run_motion_fit(_make_config(**a))),
+                   _ANALYSIS_OPTIONS, lambda **a: run_motion_fit(_config(**a))),
     "simulate": ("Write synthetic record files for any of the bundled generators.",
                  _SIMULATE_OPTIONS, _simulate_cmd),
 }
@@ -566,9 +565,10 @@ class _Formatter(argparse.HelpFormatter):
     def _get_help_string(self, action):
         if action.required:
             return f"{action.help}  [required]"
-        if action.nargs == 0 or action.default is None:  # a flag, or no default
+        default = _UNSET_DEFAULTS.get(action.dest, action.default)
+        if action.nargs == 0 or default is None:  # a flag, or no default
             return action.help
-        return f"{action.help}  [default: %(default)s]"
+        return f"{action.help}  [default: {default}]"
 
 
 class _Parser(argparse.ArgumentParser):

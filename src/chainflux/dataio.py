@@ -32,8 +32,8 @@ Reports are a single strict JSON document (no NaN or Infinity); floats
 serialize via repr (17 significant digits), so write-then-parse round-trips
 bit-for-bit. A dataclass anywhere in a report is written as its fields
 (dataclasses.asdict), arrays as lists and numpy scalars as numbers; there is
-no per-type converter. A BaselineDistribution is never written whole: its
-samples stay out of reports, and callers write a summary of it instead.
+no per-type converter. A null's samples stay out of reports: callers write a
+summary of them instead.
 Reports and record files are written to a temporary file beside the target
 and then renamed into place, so a failed write never leaves a partial file.
 """
@@ -781,7 +781,7 @@ def write_report(
     fits:    mapping name -> OlsFit or dict.
     Any dataclass in them is written as its fields (dataclasses.asdict),
     with arrays as lists; none is dispatched on by type. Pass a summary of a
-    BaselineDistribution, never the distribution with its samples.
+    null's samples, never the samples.
     The creation timestamp is suppressed when reproducible is True so that
     identical inputs produce byte-identical files.
 

@@ -42,14 +42,13 @@ from __future__ import annotations
 import itertools
 import os
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     StateSpace,
     TreatmentDataset,
-    _freeze,
     chain_from_counts,
     is_square_2x2,
     pair_counts,
@@ -60,7 +59,6 @@ from .observables import ZeroFluxPolicy, entropy_batch, epr_batch
 __all__ = [
     "Seed",
     "VnmParams",
-    "BaselineDistribution",
     "SQUARE_CYCLE_ORDER",
     "cycle_transition",
     "simulate_chain",
@@ -171,34 +169,6 @@ class VnmParams:
             raise ValueError("sessions must be >= 1")
         if self.rounds_per_session < 2:
             raise ValueError("rounds_per_session must be >= 2")
-
-
-@dataclass(frozen=True)
-class BaselineDistribution:
-    """Monte-Carlo sample set of one observable under a null model."""
-
-    observable_name: str
-    samples: np.ndarray
-    seed: int
-    policy: ZeroFluxPolicy
-    constraint_summary: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        [samples] = _freeze(self, samples=float)
-        if samples.size == 0:
-            raise ValueError("a baseline needs at least one sample")
-
-    @property
-    def reps(self) -> int:
-        return int(self.samples.size)
-
-    @property
-    def mean(self) -> float:
-        return float(self.samples.mean())
-
-    @property
-    def std(self) -> float:
-        return float(self.samples.std(ddof=1)) if self.reps > 1 else 0.0
 
 
 def _check_distribution(vec: np.ndarray, what: str) -> None:
@@ -508,6 +478,7 @@ def _vnm_chunk(
     pro = np.empty(hi - lo)
     for rows, dos, flux in _replicate_chains(lo, hi, 4, 2 * n, ends, block_states):
         ent[rows] = entropy_batch(dos)
+        # ROADMAP item 5 reads the skipped counts here, as one more array
         pro[rows], _ = epr_batch(flux, policy)
     return ent, pro
 
@@ -535,6 +506,7 @@ def _dos_chunk(
     out = np.empty(hi - lo)
     chains = _replicate_chains(lo, hi, dos.size, n_rounds, ends, block_states)
     for rows, _, flux in chains:
+        # ROADMAP item 5 reads the skipped counts here, as one more array
         out[rows], _ = epr_batch(flux, policy)
     return out
 
@@ -573,11 +545,11 @@ def vnm_null_distribution(
     seed: Seed,
     *,
     workers: int = 1,
-) -> tuple[BaselineDistribution, BaselineDistribution]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Sample the independent-play null: each replicate simulates a dataset
     under params, estimates its chain, and records entropy and EPR.
 
-    Returns (entropy baseline, EPR baseline) with `reps` samples each, in
+    Returns float64 (entropy samples, EPR samples), `reps` each, in
     replicate order. The null always plays on the canonical square space
     (index = 2*row_action + col_action). `workers` is capped at the number
     of CPUs the process may use.
@@ -587,11 +559,7 @@ def vnm_null_distribution(
     results = _run_chunks(_vnm_chunk, (params, policy, seed), reps, workers)
     ent = np.concatenate([r[0] for r in results])
     pro = np.concatenate([r[1] for r in results])
-    constraint = asdict(params)
-    return (
-        BaselineDistribution("entropy", ent, seed.root, policy, constraint),
-        BaselineDistribution("epr", pro, seed.root, policy, constraint),
-    )
+    return ent, pro
 
 
 def dos_baseline(
@@ -602,13 +570,14 @@ def dos_baseline(
     seed: Seed,
     *,
     workers: int = 1,
-) -> BaselineDistribution:
+) -> np.ndarray:
     """Finite-sample EPR baseline: replicates draw an i.i.d. sequence of
     length n_rounds from `dos`, estimate a chain, and record its EPR.
 
-    The sample set is the corrected zero for a treatment with that DOS and
-    record count; temporal order is destroyed while occupancy is preserved.
-    `workers` is capped at the number of CPUs the process may use.
+    Returns the float64 EPR samples, `reps` of them in replicate order: the
+    corrected zero for a treatment with that DOS and record count; temporal
+    order is destroyed while occupancy is preserved. `workers` is capped at
+    the number of CPUs the process may use.
     """
     dos = np.asarray(dos, dtype=float)
     _check_distribution(dos, "dos")
@@ -617,11 +586,4 @@ def dos_baseline(
     if reps < 2:
         raise ValueError("reps must be >= 2")
     results = _run_chunks(_dos_chunk, (dos, n_rounds, policy, seed), reps, workers)
-    samples = np.concatenate(results)
-    return BaselineDistribution(
-        "epr",
-        samples,
-        seed.root,
-        policy,
-        {"dos": [float(x) for x in dos], "n_rounds": int(n_rounds)},
-    )
+    return np.concatenate(results)

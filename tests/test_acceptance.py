@@ -113,12 +113,12 @@ def test_criterion_4_bias_baseline_decay():
     uniform = [0.25] * 4
     short = dos_baseline(uniform, 200, 10_000, SKIP, Seed(4001))
     long = dos_baseline(uniform, 20_000, 10_000, SKIP, Seed(4002))
-    factor = short.mean / long.mean
+    factor = short.mean() / long.mean()
     elapsed = time.perf_counter() - t0
     criterion(
         "A4 finite-sample bias decay",
         factor > 5.0,
-        f"mean B0 epr: n=200 -> {short.mean:.5f}, n=20000 -> {long.mean:.6f}, "
+        f"mean B0 epr: n=200 -> {short.mean():.5f}, n=20000 -> {long.mean():.6f}, "
         f"factor {factor:.1f} (required > 5)",
         elapsed,
         120.0,
@@ -131,8 +131,8 @@ def _cycle_mc_p(states: np.ndarray, reps: int, seed: Seed) -> float:
         TreatmentDataset.from_sessions("t", square_2x2(), {"s1": states})
     )
     value, _ = epr(est, SKIP)
-    baseline = dos_baseline(est.dos, est.n_observations, reps, SKIP, seed)
-    return (1 + int(np.count_nonzero(baseline.samples >= value))) / (reps + 1)
+    samples = dos_baseline(est.dos, est.n_observations, reps, SKIP, seed)
+    return (1 + int(np.count_nonzero(samples >= value))) / (reps + 1)
 
 
 def test_criterion_5_cycle_test_power_and_size():
@@ -194,7 +194,7 @@ def _minimax_paired_p(run_seed: Seed, data_seed: Seed, reps: int):
         matched = VnmParams(p=p_hat, q=q_hat, sessions=2, rounds_per_session=150)
         _, null = vnm_null_distribution(matched, reps, SKIP, run_seed.split(idx))
         emp.append(value)
-        null_mean.append(null.mean)
+        null_mean.append(null.mean())
     return paired_t(emp, null_mean, "greater").p_value, datasets
 
 

@@ -21,7 +21,7 @@ from chainflux import (
     simulate_vnm,
     square_2x2,
 )
-from chainflux.cli import _cycle_treatment, _make_config, _minimax_treatment, main
+from chainflux.cli import _config, _cycle_treatment, _minimax_treatment, main
 from chainflux.errors import ZeroVarianceError
 from conftest import RING_EPR, fill_disk
 
@@ -112,6 +112,43 @@ class TestSimulate:
             "--output", str(tmp_path / "x.csv"),
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("--model", "ring", "--drive-sweep", "0.2,0.5,0.8", "--rounds", "10"),
+             "--drive-sweep does not apply to --model ring"),
+            (("--model", "vnm", "--dos", "0.1,0.9", "--forward", "0.9"),
+             "--forward does not apply to --model vnm"),
+            (("--model", "iid", "--dos", "0.5,0.5,0,0", "--p", "0.5"),
+             "--p does not apply to --model iid"),
+            (("--model", "square-cycle", "--q", "0.5"),
+             "--q does not apply to --model square-cycle"),
+            (("--model", "ring", "--dos", "0.5,0.5,0"),
+             "--dos does not apply to --model ring"),
+            (("--model", "square-cycle", "--drive-sweep", "0.2,0.5", "--treatments", "5"),
+             "--treatments 5 differs from the 2 values of --drive-sweep"),
+            (("--model", "square-cycle", "--drive-sweep", ","),
+             "--drive-sweep needs at least one value"),
+        ],
+        ids=["ring-sweep", "vnm-forward", "iid-p", "square-q", "ring-dos",
+             "sweep-treatments", "empty-sweep"],
+    )
+    def test_flag_foreign_to_model_exit_1_before_drawing(
+        self, capsys, monkeypatch, tmp_path, args, message
+    ):
+        import chainflux.cli as cli_module
+
+        def never(*args, **kwargs):
+            raise RuntimeError("drew before the flags were checked")
+
+        monkeypatch.setattr(cli_module, "_simulate_datasets", never)
+        out = tmp_path / "x.csv"
+        code, summary, err = run_cli(capsys, "simulate", *args, "--output", str(out))
+        assert code == 1
+        assert summary is None
+        assert err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_unwritable_output_exit_1(self, capsys, tmp_path):
         out = tmp_path / "no-dir" / "x.csv"
@@ -371,6 +408,7 @@ class TestCycleTest:
         }
         assert entry["baseline"]["policy"] == {"mode": "skip"}
         assert set(entry["baseline"]["constraints"]) == {"dos", "n_rounds"}
+        assert entry["baseline"]["seed"] == Seed(10).split(0).root
         assert set(entry) == {
             "treatment_id", "n_observations", "epr", "skipped_pairs",
             "baseline", "percentile", "mc_exceedance_p", "alpha",
@@ -392,6 +430,24 @@ class TestCycleTest:
         assert summary["detected"] == []
         entry = json.loads(out.read_text())["treatments"][0]
         assert entry["percentile"] < 0.95  # epr sits inside the null bulk
+
+    def test_baseline_entry_names_its_null(self, capsys, tmp_path):
+        data = tmp_path / "two.csv"
+        data.write_text(
+            "treatment_id,session_id,round,state\n"
+            + "".join(f"t,s,{i + 1},{i % 2}\n" for i in range(64))
+        )
+        out = tmp_path / "r.json"
+        code, _, _ = run_cli(
+            capsys, "cycle-test", "--input", str(data), "--output", str(out),
+            "--reps", "8", "--seed", "9",
+        )
+        assert code == 0
+        baseline = json.loads(out.read_text())["treatments"][0]["baseline"]
+        assert baseline["observable"] == "epr"
+        assert baseline["reps"] == 8
+        assert baseline["seed"] == Seed(9).split(0).root
+        assert baseline["constraints"] == {"dos": [0.5, 0.5, 0.0, 0.0], "n_rounds": 64}
 
     def test_never_visited_state_is_harmless(self, capsys, tmp_path):
         data = tmp_path / "three.csv"
@@ -459,15 +515,15 @@ class TestMinimaxTest:
         assert code == 0
         doc = json.loads(out.read_text())
         assert len(doc["treatments"]) == 3
-        for entry in doc["treatments"]:
+        for idx, entry in enumerate(doc["treatments"]):
             n = entry["n_observations"]
             assert abs(entry["p_hat"] - 0.7) < 3 * np.sqrt(0.7 * 0.3 / n)
             assert entry["null_sessions"] == 2
             assert entry["null_rounds_per_session"] == 400
-            assert {b["observable"] for b in entry["baselines"]} == {
-                "entropy", "epr",
-            }
+            assert [b["observable"] for b in entry["baselines"]] == ["entropy", "epr"]
             for baseline in entry["baselines"]:
+                assert baseline["reps"] == 150
+                assert baseline["seed"] == Seed(6).split(idx).root
                 assert baseline["constraints"] == {
                     "p": entry["p_hat"], "q": entry["q_hat"], "sessions": 2,
                     "rounds_per_session": 400,
@@ -597,11 +653,7 @@ class TestPerTreatmentSize:
     )
     def test_at_most_7_percent_false_rejections(self, treat, make_data, keys, seed):
         runs = 400
-        config = _make_config(
-            input_path=None, output_path=None, seed=seed, reps=1000,
-            policy_text="skip", burn_in=0, alpha=0.05, space_text="square",
-            workers=1, reproducible=True,
-        )
+        config = _config(seed, "square", "skip", mc_reps=1000, alpha=0.05)
         data_root = Seed(seed + 1)
         rejections = dict.fromkeys(keys, 0)
         for run in range(runs):
@@ -787,8 +839,9 @@ class TestExitCodesAndDeterminism:
     @pytest.mark.parametrize("model", ["square-cycle", "vnm", "ring", "iid"])
     def test_unallocatable_rounds_exit_1_before_drawing(self, capsys, tmp_path, model):
         out = tmp_path / "x.csv"
+        dos = ("--dos", "0.25,0.25,0.25,0.25") if model == "iid" else ()
         code, summary, err = run_cli(
-            capsys, "simulate", "--model", model, "--dos", "0.25,0.25,0.25,0.25",
+            capsys, "simulate", "--model", model, *dos,
             "--output", str(out), "--rounds", "10000000000000",
         )
         assert code == 1

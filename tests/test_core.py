@@ -10,11 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainflux import (
-    BaselineDistribution,
     MarkovEstimate,
     StateSpace,
     TreatmentDataset,
-    ZeroFluxPolicy,
     estimate_markov,
     square_2x2,
     stationarity_diagnostic,
@@ -193,18 +191,15 @@ class TestDomainTypes:
         states, offsets = np.array([0, 1, 2, 3], dtype=np.int64), np.array([0, 4])
         coords = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         dos, transition = np.full(4, 0.25), np.eye(4)
-        samples = np.array([0.1, 0.2])
         space = StateSpace(("a", "b", "c", "d"), coords)
         data = TreatmentDataset("t", space, states, offsets, ["s"])
         est = MarkovEstimate.from_exact(space, dos, transition)
-        baseline = BaselineDistribution("epr", samples, 0, ZeroFluxPolicy.skip())
         pairs = [
             (states, data.states),
             (offsets, data.offsets),
             (coords, space.coordinates),
             (dos, est.dos),
             (transition, est.transition),
-            (samples, baseline.samples),
         ]
         for given, field in pairs:
             assert given.flags.writeable
