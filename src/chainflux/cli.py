@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .core import (
+    SQUARE_CYCLE_ORDER,
     MarkovEstimate,
     StateSpace,
     TreatmentDataset,
@@ -36,7 +37,6 @@ from .dataio import (
 )
 from .errors import ChainfluxError, ConfigError, EmptyDataError, ZeroVarianceError
 from .nullmodels import (
-    SQUARE_CYCLE_ORDER,
     Seed,
     VnmParams,
     cycle_transition,
@@ -200,8 +200,8 @@ def run_analyze(config: AnalysisConfig) -> dict:
 def _vnm_params_from(est: MarkovEstimate, data: TreatmentDataset, burn_in: int) -> VnmParams:
     """Match the data's sample size and mean strategy frequencies; only
     sessions left with a transition pair after burn-in count."""
-    p_hat = float(est.dos[2] + est.dos[3])  # P(row_action = 1)
-    q_hat = float(est.dos[1] + est.dos[3])  # P(col_action = 1)
+    # the square's coordinates are each state's actions: P(action = 1)
+    p_hat, q_hat = (est.dos @ est.space.coordinates).tolist()
     lengths = data.retained_lengths(burn_in)
     lengths = lengths[lengths >= 2]
     rounds = max(2, int(round(int(lengths.sum()) / lengths.size)))
@@ -361,8 +361,6 @@ def run_motion_fit(config: AnalysisConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
-# the states each cycle model drives its chain around, in order
-_CYCLE_ORDERS = {"ring": (0, 1, 2), "square-cycle": SQUARE_CYCLE_ORDER}
 # model -> {option: default} of the options that only that model takes
 _MODEL_OPTIONS = {
     "vnm": {"p": 0.5, "q": 0.5},
@@ -388,22 +386,9 @@ def _simulate_datasets(
     rounds: int,
 ) -> list[TreatmentDataset]:
     """Map the `simulate` flags to generator calls, one dataset per treatment."""
-    tids = [f"T{t + 1:02d}" for t in range(treatments)]
-    if model == "vnm":
-        params = VnmParams(options["p"], options["q"], sessions, rounds)
-        return [
-            simulate_vnm(params, space, seed.split(t), treatment_id=tid)
-            for t, tid in enumerate(tids)
-        ]
     r = space.size
 
     def chain_spec(t_index: int) -> tuple[np.ndarray, np.ndarray]:
-        if model in _CYCLE_ORDERS:
-            sweep = options.get("drive_sweep")
-            fwd = sweep[t_index] if sweep else options["forward"]
-            return np.full(r, 1.0 / r), cycle_transition(
-                r, _CYCLE_ORDERS[model], fwd, options["backward"]
-            )
         if model == "iid":
             if options["dos"] is None:
                 raise ConfigError("--dos is required for the iid model")
@@ -411,13 +396,21 @@ def _simulate_datasets(
             if vec.size != r:
                 raise ConfigError(f"--dos has {vec.size} entries but the space has r={r}")
             return vec, np.tile(vec, (r, 1))
-        raise ConfigError(f"unknown model {model!r}")
+        sweep = options.get("drive_sweep")
+        fwd = sweep[t_index] if sweep else options["forward"]
+        order = SQUARE_CYCLE_ORDER if model == "square-cycle" else range(r)
+        return np.full(r, 1.0 / r), cycle_transition(r, order, fwd, options["backward"])
 
-    dos0, transitions = zip(*map(chain_spec, range(treatments)))
-    states = simulate_sessions(dos0, transitions, sessions, rounds, seed)
+    if model == "vnm":
+        params = VnmParams(options["p"], options["q"], sessions, rounds)
+        # lazily, so that each treatment's states are drawn as its dataset is made
+        states = (simulate_vnm(params, seed.split(t)) for t in range(treatments))
+    else:
+        dos0, transitions = zip(*map(chain_spec, range(treatments)))
+        states = simulate_sessions(dos0, transitions, sessions, rounds, seed)
     return [
-        TreatmentDataset.from_rows(tid, space, t_states)
-        for tid, t_states in zip(tids, states)
+        TreatmentDataset.from_rows(f"T{t + 1:02d}", space, t_states)
+        for t, t_states in enumerate(states)
     ]
 
 
@@ -448,14 +441,17 @@ def _simulate_cmd(
     if sessions < 1 or treatments < 1:
         raise ConfigError("--sessions and --treatments must be >= 1")
     space = load_space(space_text or ("triangle" if model == "ring" else "square"))
-    order = _CYCLE_ORDERS.get(model)
-    if order and space.size != len(order):
+    if model == "square-cycle" and space.size != 4:
         raise ConfigError(
-            f"--model {model} needs a {len(order)}-state space, since its cycle "
-            f"visits states 0 to {len(order) - 1}; --space {space_text!r} has "
-            f"{space.size} states"
+            f"--model square-cycle needs a 4-state space, since its cycle visits "
+            f"states 0 to 3; --space {space_text!r} has {space.size} states"
         )
     if model == "vnm":
+        if not is_square_2x2(space):
+            raise ConfigError(
+                "simulate_vnm needs the canonical 4-state square space "
+                "(index = 2*row_action + col_action)"
+            )
         nbytes = simulate_vnm_bytes(treatments, sessions, rounds)
     else:
         nbytes = simulate_sessions_bytes(treatments, sessions, rounds, space.size)
@@ -485,9 +481,12 @@ def _simulate_cmd(
 
 
 def _float_list(text: str) -> list[float]:
-    """The value of --drive-sweep or --dos."""
+    """The value of --drive-sweep or --dos: no values if every item is blank,
+    and an error if only some are."""
+    if not text.replace(",", "").strip():
+        return []
     try:
-        return [float(x) for x in text.split(",") if x.strip()]
+        return [float(x) for x in text.split(",")]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
@@ -536,7 +535,7 @@ _SIMULATE_OPTIONS = {
                        help="Record columns: the state, or the two players' actions."),
     "--space": dict(dest="space_text",
                     help="State space: square, triangle, or a JSON descriptor path; "
-                         "ring needs 3 states and defaults to the triangle."),
+                         "ring defaults to the triangle."),
 }
 
 # command -> (help, options, run); each run returns the stdout summary, and

@@ -23,6 +23,8 @@ __all__ = [
     "TreatmentDataset",
     "MarkovEstimate",
     "StationarityDiagnostic",
+    "SQUARE_CYCLE_ORDER",
+    "action_state",
     "square_2x2",
     "is_square_2x2",
     "triangle_3",
@@ -89,16 +91,27 @@ class StateSpace:
 
 def square_2x2() -> StateSpace:
     """Canonical two-population 2x2 space: 4 joint states on the unit square,
-    index order (0,0), (0,1), (1,0), (1,1), i.e. index = 2*row_action + col_action."""
+    whose coordinates are each state's (row_action, col_action); state
+    action_state(row_action, col_action) has them."""
     return StateSpace(
         labels=("(0,0)", "(0,1)", "(1,0)", "(1,1)"),
         coordinates=np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]),
     )
 
 
+# Square states in driven-cycle order: (0,0) -> (1,0) -> (1,1) -> (0,1).
+SQUARE_CYCLE_ORDER = (0, 2, 3, 1)
+
+
+def action_state(row_action, col_action):
+    """The square state of the action pair, each 0 or 1: 2*row + col. Bool
+    arrays give uint8 states and int64 arrays int64 ones."""
+    return np.uint8(2) * row_action + col_action
+
+
 def is_square_2x2(space: StateSpace) -> bool:
-    """True for the canonical square space of square_2x2(): 4 states whose
-    index is 2*row_action + col_action."""
+    """True for the canonical square space of square_2x2(), the only one on
+    which action pairs name states."""
     return space.size == 4 and np.array_equal(
         space.coordinates, square_2x2().coordinates
     )

@@ -9,8 +9,8 @@ header mandatory), one of:
 Rounds are 1-based and must be strictly increasing within a session; gaps
 are permitted and split nothing (consecutive rows are consecutive
 observations). A session_id change starts a new session. Action pairs map
-to state = 2*row_action + col_action. The two encodings are never mixed
-within one file.
+to state core.action_state(row_action, col_action) and need the square
+space. The two encodings are never mixed within one file.
 
 Cells follow csv's default dialect and int(cell.strip()); invalid UTF-8 is
 a ParseError naming its line, and every error names the first offending
@@ -59,6 +59,7 @@ import numpy as np
 from .core import (
     StateSpace,
     TreatmentDataset,
+    action_state,
     is_square_2x2,
     square_2x2,
     triangle_3,
@@ -185,6 +186,7 @@ def load_csv(path, space: StateSpace) -> list[TreatmentDataset]:
     Raises:
         ParseError: missing/unknown header, empty file, malformed cells,
             invalid UTF-8, a quoted cell over csv.field_size_limit().
+        ConfigError: an action header off the square space.
         MixedEncodingsError: header carries both encodings.
         NonMonotoneRoundsError: rounds within a session do not increase.
         StateOutOfRangeError: a state index is outside [0, r).
@@ -216,6 +218,8 @@ def load_csv(path, space: StateSpace) -> list[TreatmentDataset]:
                 f"got {','.join(header)}",
                 line=1,
             )
+        if header == _ACTION_HEADER and not is_square_2x2(space):
+            raise ConfigError(f"{path.name}: action pairs need the 4-state square space")
 
         records = _Records(space.size, action_encoding=header == _ACTION_HEADER)
         body = lines.rest()
@@ -561,7 +565,7 @@ class _Records:
             row_a, col_a = rest
             # both actions are 0 or 1: no bit above the lowest is set
             ok = rows.parsed & ((row_a | col_a) >> 1 == 0)
-            state = 2 * row_a + col_a
+            state = action_state(row_a, col_a)
         else:
             [state] = rest
             ok = rows.parsed & (state >= 0) & (state < self.r)
@@ -642,7 +646,7 @@ class _Records:
                 raise ParseError(
                     f"actions must be 0 or 1, got ({row_a}, {col_a})", line
                 )
-            state = 2 * row_a + col_a
+            state = action_state(row_a, col_a)
         else:
             state = number(3, "state")
         if not (0 <= state < self.r):
@@ -689,8 +693,8 @@ def write_csv(datasets, path, encoding: str = "state") -> None:
     with _atomic_text(Path(path), "") as fh:
         csv.writer(fh).writerow(_ACTION_HEADER if actions else _STATE_HEADER)
         for data in datasets:
-            if actions:
-                tails = [f",{s // 2},{s % 2}\r\n" for s in range(4)]
+            if actions:  # the square's coordinates are each state's actions
+                tails = [f",{a:g},{b:g}\r\n" for a, b in data.space.coordinates.tolist()]
             else:
                 tails = [f",{s}\r\n" for s in range(data.space.size)]
             bounds = data.offsets.tolist()

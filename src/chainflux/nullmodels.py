@@ -46,13 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    StateSpace,
-    TreatmentDataset,
-    chain_from_counts,
-    is_square_2x2,
-    pair_counts,
-)
+from .core import SQUARE_CYCLE_ORDER, action_state, chain_from_counts, pair_counts
 from .errors import InvalidDistributionError
 from .observables import ZeroFluxPolicy, entropy_batch, epr_batch
 
@@ -191,10 +185,6 @@ def _cuts(p: np.ndarray) -> np.ndarray:
     bisect_right(cuts, u), which equals min(bisect_right(cumsum(p), u), r - 1).
     """
     return np.cumsum(p, axis=-1)[..., :-1]
-
-
-# Square states in driven-cycle order: (0,0) -> (1,0) -> (1,1) -> (0,1).
-SQUARE_CYCLE_ORDER = (0, 2, 3, 1)
 
 
 def cycle_transition(r: int, order, forward: float, backward: float) -> np.ndarray:
@@ -346,12 +336,12 @@ def simulate_sessions_bytes(treatments: int, sessions: int, rounds: int, r: int)
 
 
 def simulate_vnm_bytes(treatments: int, sessions: int, rounds: int) -> int:
-    """Bytes held at the peak of drawing `treatments` simulate_vnm datasets
-    one after another and keeping them: the int64 states of every earlier
-    treatment; for the one being drawn, two float64 uniforms and three
-    one-byte masks per state (more than its int64 states, built once the
-    uniforms are freed); 256 bytes of Python objects per session and 64 KiB
-    for the stream."""
+    """Bytes held at the peak of drawing `treatments` simulate_vnm states
+    one after another and keeping each as a dataset: the int64 states of
+    every earlier treatment; for the one being drawn, two float64 uniforms
+    and three one-byte masks per state (more than its int64 states, built
+    once the uniforms are freed); 256 bytes of Python objects per session
+    and 64 KiB for the stream."""
     per_treatment = sessions * rounds
     return (
         8 * (treatments - 1) * per_treatment
@@ -362,32 +352,22 @@ def simulate_vnm_bytes(treatments: int, sessions: int, rounds: int) -> int:
 
 
 def _vnm_states(u: np.ndarray, p: float, q: float) -> np.ndarray:
-    """Joint uint8 states 2*row_action + col_action from uniforms of shape
-    (..., 2, rounds): the row player's draws come before the column's."""
-    return (u[..., 0, :] < p) * np.uint8(2) + (u[..., 1, :] < q)
+    """Joint uint8 square states from uniforms of shape (..., 2, rounds):
+    the row player's draws come before the column's."""
+    return action_state(u[..., 0, :] < p, u[..., 1, :] < q)
 
 
-def simulate_vnm(
-    params: VnmParams,
-    space: StateSpace,
-    seed: Seed,
-    treatment_id: str = "vnm",
-) -> TreatmentDataset:
-    """Generate independent mixed-strategy play on the 4-state square space.
+def simulate_vnm(params: VnmParams, seed: Seed) -> np.ndarray:
+    """Sample independent mixed-strategy play on the 4-state square space:
+    the uint8 states, shape (sessions, rounds_per_session), of params.
 
     Every round draws row_action ~ Bernoulli(p) and col_action ~ Bernoulli(q)
-    independently; the joint state index is 2*row_action + col_action. Session
-    count and rounds per session come from params, so the sample size matches
-    the treatment the null is built for.
+    independently; the joint state is core.action_state(row_action,
+    col_action). Session count and rounds per session come from params, so
+    the sample size matches the treatment the null is built for.
     """
-    if not is_square_2x2(space):
-        raise ValueError(
-            "simulate_vnm needs the canonical 4-state square space "
-            "(index = 2*row_action + col_action)"
-        )
     shape = (params.sessions, 2, params.rounds_per_session)
-    states = _vnm_states(seed.generator().random(shape), params.p, params.q)
-    return TreatmentDataset.from_rows(treatment_id, space, states)
+    return _vnm_states(seed.generator().random(shape), params.p, params.q)
 
 
 def _uniforms(seed: Seed):
@@ -551,7 +531,7 @@ def vnm_null_distribution(
 
     Returns float64 (entropy samples, EPR samples), `reps` each, in
     replicate order. The null always plays on the canonical square space
-    (index = 2*row_action + col_action). `workers` is capped at the number
+    (core.action_state). `workers` is capped at the number
     of CPUs the process may use.
     """
     if reps < 2:

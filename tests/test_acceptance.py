@@ -184,8 +184,8 @@ def _minimax_paired_p(run_seed: Seed, data_seed: Seed, reps: int):
     datasets = []
     for idx, (p, q) in enumerate(_PQ_GRID):
         params = VnmParams(p=p, q=q, sessions=2, rounds_per_session=150)
-        data = simulate_vnm(params, space, data_seed.split(idx),
-                            treatment_id=f"T{idx + 1:02d}")
+        states = simulate_vnm(params, data_seed.split(idx))
+        data = TreatmentDataset.from_rows(f"T{idx + 1:02d}", space, states)
         datasets.append(data)
         est = estimate_markov(data)
         value, _ = epr(est, SKIP)

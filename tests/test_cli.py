@@ -237,26 +237,64 @@ class TestSimulate:
         )
         assert not out.exists()
 
-    @pytest.mark.parametrize("space", ["square", "five.json"])
-    def test_ring_off_a_3_state_space_exit_1(self, capsys, tmp_path, space):
-        if space == "five.json":
-            descriptor = tmp_path / space
-            descriptor.write_text(json.dumps(
-                {"labels": list("abcde"), "coordinates": [[k, 0] for k in range(5)]}
-            ))
-            space = str(descriptor)
+    def test_ring_on_a_price_ladder_is_detected(self, capsys, tmp_path):
+        # an Edgeworth cycle: the ring climbs a 6-level ladder and drops back
+        ladder = tmp_path / "ladder.json"
+        ladder.write_text(json.dumps(
+            {"labels": [f"p{k}" for k in range(6)], "coordinates": list(range(6))}
+        ))
+        data = simulate(
+            capsys, tmp_path, "ladder.csv", "--model", "ring", "--space", str(ladder),
+            "--forward", "0.6", "--backward", "0.05", "--rounds", "200",
+        )
+        assert {int(row.split(",")[3]) for row in data.read_text().split()[1:]} == set(
+            range(6)
+        )
+        out = tmp_path / "cycle.json"
+        code, summary, _ = run_cli(
+            capsys, "cycle-test", "--input", str(data), "--output", str(out),
+            "--space", str(ladder), "--reps", "2000", "--reproducible",
+        )
+        assert code == 0
+        assert summary["detected"] == ["T01"]
+
+    def test_vnm_off_the_square_exit_1(self, capsys, tmp_path):
         out = tmp_path / "x.csv"
         code, summary, err = run_cli(
-            capsys, "simulate", "--model", "ring", "--space", space,
+            capsys, "simulate", "--model", "vnm", "--space", "triangle",
             "--rounds", "10", "--output", str(out),
         )
-        size = 4 if space == "square" else 5
         assert code == 1
         assert summary is None
         assert err == (
-            f"error: --model ring needs a 3-state space, since its cycle "
-            f"visits states 0 to 2; --space {space!r} has {size} states\n"
+            "error: simulate_vnm needs the canonical 4-state square space "
+            "(index = 2*row_action + col_action)\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [("--model", "iid", "--dos", "0.25,,0.25,0.25,0.25"),
+         ("--model", "iid", "--dos", "0.25,0.25,0.25,0.25, "),
+         ("--model", "square-cycle", "--drive-sweep", "0.2,,0.5")],
+        ids=["dos-empty", "dos-blank", "sweep-empty"],
+    )
+    def test_empty_list_item_exit_1_before_drawing(
+        self, capsys, monkeypatch, tmp_path, args
+    ):
+        import chainflux.cli as cli_module
+
+        def never(*args, **kwargs):
+            raise RuntimeError("drew before the flags were checked")
+
+        monkeypatch.setattr(cli_module, "_simulate_datasets", never)
+        out = tmp_path / "z.csv"
+        code, summary, err = run_cli(
+            capsys, "simulate", *args, "--rounds", "10", "--output", str(out)
+        )
+        assert code == 1
+        assert summary is None
+        assert "could not convert string to float" in err.splitlines()[-1]
         assert not out.exists()
 
     def test_ring_defaults_to_the_triangle(self, capsys, tmp_path):
@@ -350,6 +388,26 @@ class TestAnalyze:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["config"]["space"]["size"] == 2
+
+    @pytest.mark.parametrize("space", ["triangle", "kite.json"])
+    def test_action_pairs_off_the_square_exit_1(self, capsys, tmp_path, space):
+        if space == "kite.json":
+            descriptor = tmp_path / space
+            descriptor.write_text(json.dumps(
+                {"labels": list("abcd"), "coordinates": [[0, 0], [1, 0], [0, 1], [2, 2]]}
+            ))
+            space = str(descriptor)
+        data = simulate(capsys, tmp_path, "acts.csv", "--model", "vnm",
+                        "--rounds", "20", "--encoding", "actions")
+        out = tmp_path / "r.json"
+        code, summary, err = run_cli(
+            capsys, "analyze", "--input", str(data), "--output", str(out),
+            "--space", space,
+        )
+        assert code == 1
+        assert summary is None
+        assert err == "error: acts.csv: action pairs need the 4-state square space\n"
+        assert not out.exists()
 
     def test_smooth_policy_flag(self, capsys, tmp_path):
         data = simulate(
@@ -646,7 +704,9 @@ class TestPerTreatmentSize:
                 ),
             ),
             (_minimax_treatment,
-             lambda s: simulate_vnm(VnmParams(0.4, 0.6, 16, 12), square_2x2(), s),
+             lambda s: TreatmentDataset.from_rows(
+                 "vnm", square_2x2(), simulate_vnm(VnmParams(0.4, 0.6, 16, 12), s)
+             ),
              ("epr_mc_p", "entropy_mc_p"), 73001),
         ],
         ids=["cycle-iid-1x192", "cycle-iid-96x2", "minimax-vnm-16x12"],

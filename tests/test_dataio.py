@@ -11,6 +11,7 @@ import pytest
 from chainflux import (
     AnalysisConfig,
     Seed,
+    StateSpace,
     ZeroFluxPolicy,
     estimate_markov,
     full_report,
@@ -18,6 +19,7 @@ from chainflux import (
     load_space,
     square_2x2,
     stationarity_diagnostic,
+    triangle_3,
     write_csv,
     write_report,
 )
@@ -61,6 +63,21 @@ class TestLoadCsv:
         )
         datasets = load_csv(path, square_space)
         assert sessions_of(datasets[0])[0][1].tolist() == [3, 0]
+
+    @pytest.mark.parametrize(
+        "space",
+        [triangle_3(), StateSpace(tuple("abcd"), [[0, 0], [1, 0], [0, 1], [2, 2]])],
+        ids=["triangle", "kite"],
+    )
+    def test_action_pairs_off_the_square_raise_before_any_row(self, tmp_path, space):
+        # the row is malformed too: the space is checked before it is read
+        path = write_text(
+            tmp_path,
+            "a.csv",
+            "treatment_id,session_id,round,row_action,col_action\nt,s,x,9,9\n",
+        )
+        with pytest.raises(ConfigError, match="action pairs need the 4-state square"):
+            load_csv(path, space)
 
     def test_state_out_of_range_names_line(self, tmp_path, square_space):
         path = write_text(

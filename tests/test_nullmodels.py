@@ -29,12 +29,11 @@ from chainflux import (
     simulate_chain,
     simulate_vnm,
     square_2x2,
-    triangle_3,
     vnm_null_distribution,
 )
 from chainflux.errors import InvalidDistributionError, OneSidedZeroFluxError
 
-from conftest import RING_TRANSITION, sessions_of
+from conftest import RING_TRANSITION
 
 SKIP = ZeroFluxPolicy.skip()
 SMOOTH = ZeroFluxPolicy.smooth(1e-6)
@@ -259,25 +258,17 @@ class TestCycleTransition:
 class TestSimulateVnm:
     def test_degenerate_probabilities(self):
         params = VnmParams(p=1.0, q=1.0, sessions=2, rounds_per_session=50)
-        data = simulate_vnm(params, square_2x2(), Seed(3))
-        for _, states in sessions_of(data):
-            assert np.all(states == 3)
+        assert np.all(simulate_vnm(params, Seed(3)) == 3)
 
     def test_zero_probabilities(self):
         params = VnmParams(p=0.0, q=0.0, sessions=1, rounds_per_session=30)
-        data = simulate_vnm(params, square_2x2(), Seed(3))
-        assert np.all(sessions_of(data)[0][1] == 0)
+        assert np.all(simulate_vnm(params, Seed(3)) == 0)
 
     def test_shape_matches_params(self):
         params = VnmParams(p=0.4, q=0.6, sessions=3, rounds_per_session=20)
-        data = simulate_vnm(params, square_2x2(), Seed(12))
-        assert len(data.session_ids) == 3
-        assert all(len(states) == 20 for _, states in sessions_of(data))
-
-    def test_requires_square_space(self):
-        params = VnmParams(p=0.5, q=0.5, sessions=1, rounds_per_session=10)
-        with pytest.raises(ValueError):
-            simulate_vnm(params, triangle_3(), Seed(0))
+        states = simulate_vnm(params, Seed(12))
+        assert states.shape == (3, 20)
+        assert states.dtype == np.uint8
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
@@ -289,8 +280,8 @@ class TestSimulateVnm:
 
     def test_half_half_transition_converges_to_quarter(self):
         params = VnmParams(p=0.5, q=0.5, sessions=1, rounds_per_session=1_000_000)
-        data = simulate_vnm(params, square_2x2(), Seed(2025))
-        est = estimate_markov(data)
+        states = simulate_vnm(params, Seed(2025))
+        est = estimate_markov(TreatmentDataset.from_rows("vnm", square_2x2(), states))
         assert np.all(np.abs(est.transition - 0.25) < 0.005)
 
     def test_exact_product_chain_has_zero_epr(self):
@@ -303,8 +294,7 @@ class TestSimulateVnm:
 
     def test_marginal_frequency_matches_p(self):
         params = VnmParams(p=0.7, q=0.3, sessions=2, rounds_per_session=5000)
-        data = simulate_vnm(params, square_2x2(), Seed(55))
-        states = data.states
+        states = simulate_vnm(params, Seed(55))
         p_hat = float(np.mean(states // 2))
         q_hat = float(np.mean(states % 2))
         n = states.size
@@ -315,7 +305,7 @@ class TestSimulateVnm:
         params = VnmParams(p=0.6, q=0.45, sessions=1, rounds_per_session=300)
         root = Seed(314159)
         pooled = np.concatenate([
-            simulate_vnm(params, square_2x2(), root.split(k)).states
+            simulate_vnm(params, root.split(k)).ravel()
             for k in range(60)
         ])
         n = pooled.size

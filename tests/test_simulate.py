@@ -206,7 +206,9 @@ def test_simulate_vnm_bytes_bounds_traced_peak(treatments, sessions, rounds):
     try:
         # what simulate --model vnm holds: every dataset, drawn in turn
         datasets = [
-            simulate_vnm(params, square_2x2(), Seed(5).split(t))
+            TreatmentDataset.from_rows(
+                f"T{t + 1:02d}", square_2x2(), simulate_vnm(params, Seed(5).split(t))
+            )
             for t in range(treatments)
         ]
         peak = tracemalloc.get_traced_memory()[1]
