@@ -516,8 +516,9 @@ _ANALYSIS_OPTIONS = {
 
 _SIMULATE_OPTIONS = {
     "--model": dict(required=True, choices=["vnm", "ring", "square-cycle", "iid"],
-                    help="Generator: independent play, 3-state ring, driven square "
-                         "cycle, or i.i.d. draws from --dos."),
+                    help="Generator: independent play, a ring over every state of "
+                         "--space (the triangle by default), driven square cycle, "
+                         "or i.i.d. draws from --dos."),
     "--output": dict(dest="output_path", required=True, metavar="PATH",
                      help="CSV file to write."),
     "--seed": dict(type=int, default=0, help="64-bit root seed for all draws."),

@@ -27,6 +27,7 @@ __all__ = [
     "action_state",
     "square_2x2",
     "is_square_2x2",
+    "state_dtype",
     "triangle_3",
     "chain_from_counts",
     "pair_counts",
@@ -117,6 +118,11 @@ def is_square_2x2(space: StateSpace) -> bool:
     )
 
 
+def state_dtype(r: int) -> np.dtype:
+    """The type of every states array: the narrowest unsigned one holding [0, r)."""
+    return np.min_scalar_type(r - 1)
+
+
 def triangle_3() -> StateSpace:
     """Three states on the vertices of a unit equilateral triangle."""
     return StateSpace(
@@ -129,8 +135,9 @@ def triangle_3() -> StateSpace:
 class TreatmentDataset:
     """All sessions of one treatment over a shared state space, in one flat
     layout: session k is states[offsets[k]:offsets[k + 1]], named
-    session_ids[k]. states and offsets (S + 1 bounds from 0 to states.size)
-    are read-only int64 arrays; an empty session repeats an offset."""
+    session_ids[k]. states (held as state_dtype(r)) and offsets (S + 1 int64
+    bounds from 0 to states.size) are read-only; an empty session repeats an
+    offset."""
 
     treatment_id: str
     space: StateSpace
@@ -139,11 +146,13 @@ class TreatmentDataset:
     session_ids: tuple[str, ...]
 
     def __post_init__(self):
-        states, offsets = _freeze(self, states=np.int64, offsets=np.int64)
+        states, [offsets] = np.asarray(self.states), _freeze(self, offsets=np.int64)
         ids = tuple(self.session_ids)
         object.__setattr__(self, "session_ids", ids)
         if states.ndim != 1:
             raise ValueError("states must be a 1-D sequence")
+        if states.size and states.dtype.kind not in "iu":
+            raise ValueError(f"state indices must be integers, got {states.dtype}")
         if offsets.ndim != 1 or [*offsets[:1], *offsets[-1:]] != [0, states.size]:
             raise ValueError(f"offsets must run from 0 to {states.size}")
         if (np.diff(offsets) < 0).any():
@@ -160,13 +169,16 @@ class TreatmentDataset:
                 f"contains state {int(states[offsets[k] : offsets[k + 1]].max())} "
                 f"but the space has r={r}"
             )
+        _freeze(self, states=state_dtype(r))
 
     @classmethod
     def from_sessions(cls, treatment_id: str, space: StateSpace, sessions):
         """Dataset of an ordered mapping {session_id: states}, one session
         per entry, in order."""
-        chunks = [np.asarray(states, dtype=np.int64) for states in sessions.values()]
-        states = np.concatenate([np.zeros(0, np.int64), *chunks])
+        chunks = [np.asarray(states) for states in sessions.values()]
+        # empty sessions, [] among them, leave the type to the others
+        empty = np.zeros(0, state_dtype(space.size))
+        states = np.concatenate([empty, *(c for c in chunks if c.size)])
         offsets = np.cumsum([0, *map(len, chunks)])
         return cls(treatment_id, space, states, offsets, list(sessions))
 
@@ -312,7 +324,7 @@ def pair_counts(
     cut = ends[:-1]
     bins = size + (cut.size > 0)
     code_type = np.uint8 if bins <= 2**8 else np.uint16 if bins <= 2**16 else np.int64
-    # states lie in [0, r), so narrowing the data's int64 states is exact
+    # states lie in [0, r), so narrowing them is exact
     codes = np.multiply(states[:, :-1], r, dtype=code_type, casting="unsafe")
     np.add(codes, states[:, 1:], out=codes, casting="unsafe")
     if b > 1:
@@ -387,7 +399,7 @@ def stationarity_diagnostic(
     lengths = data.retained_lengths(burn_in)
     half = lengths // 2
     # code each state with its part: burn-in, first half or second half
-    codes = data.states * 3
+    codes = np.multiply(data.states, 3, dtype=np.intp)
     codes += _parts(data, np.diff(data.offsets) - lengths, half, lengths - half)
     _, first, second = np.bincount(codes, minlength=3 * r).reshape(r, 3).T
     first_dos = first / max(int(first.sum()), 1)

@@ -19,8 +19,8 @@ A strict block (see _Records._scan) is parsed with numpy (_line_bounds,
 _cell_bounds, _run_starts, _int_cells and _Records._take); csv.reader reads
 any other quote-free block on its own, and every block from the first with
 a quote on (_Records.add_csv). Memory is one block's index arrays plus one
-small integer per row of states, until each treatment's session bytes are
-joined once into the int64 states of its TreatmentDataset.
+state per row, held as core.state_dtype(r), until each treatment's session
+bytes are joined once into the states of its TreatmentDataset.
 
 write_csv walks each dataset's session offsets and writes the bytes
 csv.writer would: each session's id prefix is built once (_csv_prefix),
@@ -49,7 +49,7 @@ import json
 import operator
 import os
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
@@ -62,6 +62,7 @@ from .core import (
     action_state,
     is_square_2x2,
     square_2x2,
+    state_dtype,
     triangle_3,
 )
 from .errors import (
@@ -230,7 +231,7 @@ def load_csv(path, space: StateSpace) -> list[TreatmentDataset]:
                 break
             line = records.add_block(block, line)
 
-    return records.datasets(space)
+    return list(records.datasets(space))
 
 
 def _blocks(fh, carry: bytes):
@@ -445,8 +446,7 @@ class _Records:
         self.r = r
         self.action_encoding = action_encoding
         self.n_cols = len(_ACTION_HEADER if action_encoding else _STATE_HEADER)
-        # the smallest signed type that holds every state in [0, r)
-        self.dtype = np.min_scalar_type(-r)
+        self.dtype = state_dtype(r)
         # treatment -> session -> [last round, states as self.dtype bytes],
         # in the order of each one's first row
         self.treatments: dict[str, dict[str, list]] = {}
@@ -653,20 +653,14 @@ class _Records:
             raise StateOutOfRangeError(f"state {state} outside [0, {self.r})", line)
         raise AssertionError(f"line {line} was flagged but passes every check")
 
-    def datasets(self, space: StateSpace) -> list[TreatmentDataset]:
-        """One dataset per treatment. Each treatment's session bytes are
-        joined once and freed before its int64 states are made, so
-        treatments are taken last first, off the end of the dict."""
-        datasets = []
-        while self.treatments:
-            tid, sessions = self.treatments.popitem()
-            ids, chunks = tuple(sessions), [chunk for _, chunk in sessions.values()]
+    def datasets(self, space: StateSpace) -> Iterator[TreatmentDataset]:
+        """One dataset per treatment, whose states are its session bytes
+        joined once."""
+        for tid, sessions in self.treatments.items():
+            chunks = [chunk for _, chunk in sessions.values()]
             offsets = np.cumsum([0, *map(len, chunks)]) // self.dtype.itemsize
-            joined = b"".join(chunks)
-            del sessions, chunks
-            states = np.frombuffer(joined, self.dtype).astype(np.int64)
-            datasets.append(TreatmentDataset(tid, space, states, offsets, ids))
-        return datasets[::-1]
+            states = np.frombuffer(b"".join(chunks), self.dtype)
+            yield TreatmentDataset(tid, space, states, offsets, tuple(sessions))
 
 
 def write_csv(datasets, path, encoding: str = "state") -> None:

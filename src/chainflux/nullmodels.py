@@ -19,11 +19,11 @@ dataset's (the i.i.d. null as one session, the independent-play null as
 equal-length sessions one after another), and counted by core.pair_counts,
 the kernel estimate_markov uses, with the index of each session's last
 state. A block also holds at most _BLOCK_CELLS pair counts (B·r²), so its
-(B, r, r) arrays stay small on many states. States are held in the
-narrowest integer type that fits them. The counts of consecutive blocks
-are gathered in groups of up to _GROUP_CELLS pair counts (a group is never
-smaller than one block), and each group's chains and observables are
-evaluated in one batched call.
+(B, r, r) arrays stay small on many states. States are held as
+core.state_dtype(r). The counts of consecutive blocks are gathered in
+groups of up to _GROUP_CELLS pair counts (a group is never smaller than one
+block), and each group's chains and observables are evaluated in one
+batched call.
 
 A uniform u maps to the state that counts the cumulative-probability cuts
 at or below it (_cuts). The nulls compare whole blocks against the cuts.
@@ -47,6 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SQUARE_CYCLE_ORDER, action_state, chain_from_counts, pair_counts
+from .core import state_dtype
 from .errors import InvalidDistributionError
 from .observables import ZeroFluxPolicy, entropy_batch, epr_batch
 
@@ -258,7 +259,7 @@ def _lockstep_walk(cuts0: np.ndarray, cuts: np.ndarray, u: np.ndarray) -> np.nda
     lane_t = np.repeat(np.arange(t_count), lanes // t_count)
     flat = cuts.reshape(t_count * r, r - 1)
     base = lane_t * r
-    states = np.empty((lanes, rounds), dtype=np.int64)
+    states = np.empty((lanes, rounds), dtype=state_dtype(r))
     s = states[:, 0] = (cuts0[lane_t] <= u[:, :1]).sum(axis=1)
     for k in range(1, rounds):
         s = states[:, k] = (flat.take(base + s, axis=0) <= u[:, k, None]).sum(axis=1)
@@ -266,7 +267,7 @@ def _lockstep_walk(cuts0: np.ndarray, cuts: np.ndarray, u: np.ndarray) -> np.nda
 
 
 def simulate_chain(dos0, transition, n: int, seed: Seed) -> np.ndarray:
-    """Sample the int64 states of an n-step chain: s_0 ~ dos0,
+    """Sample the states of an n-step chain: s_0 ~ dos0,
     s_{t+1} ~ transition[s_t].
 
     Raises:
@@ -279,7 +280,7 @@ def simulate_chain(dos0, transition, n: int, seed: Seed) -> np.ndarray:
         raise ValueError("n must be >= 2")
     cuts0, cuts = _chain_cuts(dos0, transition)
     states = _bisect_walk(cuts0.tolist(), cuts.tolist(), seed.generator().random(n))
-    return np.array(states, dtype=np.int64)
+    return np.array(states, dtype=state_dtype(dos0.size))
 
 
 def simulate_sessions(
@@ -289,7 +290,7 @@ def simulate_sessions(
     session s of treatment t starts from dos0[t], steps with
     transitions[t], and draws from seed.split(t).split(s).
 
-    dos0 has shape (T, r) and transitions (T, r, r). Returns int64 states
+    dos0 has shape (T, r) and transitions (T, r, r). Returns the states
     of shape (T, sessions, rounds); states[t, s] equals
     simulate_chain(dos0[t], transitions[t], rounds, seed.split(t).split(s)).
 
@@ -314,7 +315,7 @@ def simulate_sessions(
     if _walks_in_lockstep(t_count * sessions, dos0.shape[1]):
         states = _lockstep_walk(cuts0, cuts, u.reshape(-1, rounds))
         return states.reshape(u.shape)
-    states = np.empty(u.shape, dtype=np.int64)
+    states = np.empty(u.shape, dtype=state_dtype(dos0.shape[1]))
     for t in range(t_count):
         t_cuts0, t_cuts = cuts0[t].tolist(), cuts[t].tolist()
         for s, row in enumerate(u[t]):
@@ -324,10 +325,11 @@ def simulate_sessions(
 
 def simulate_sessions_bytes(treatments: int, sessions: int, rounds: int, r: int) -> int:
     """Bytes simulate_sessions holds at its peak for these sizes: every
-    lane's float64 uniforms and int64 states, the transitions and their
-    cuts, 64 KiB for the stream's key pass and Philox, plus one lockstep
-    round's gathered cuts, masks and indices, or one treatment's cuts and
-    one session's uniforms and states as Python objects."""
+    lane's float64 uniforms twice while they are stacked (more than the
+    uniforms and states of the walk), the transitions and their cuts, 64 KiB
+    for the stream's key pass and Philox, plus one lockstep round's gathered
+    cuts, masks and indices, or one treatment's cuts and one session's
+    uniforms and states as Python objects."""
     lanes = treatments * sessions
     held = 16 * lanes * rounds + 16 * treatments * r * r + 2**16
     if _walks_in_lockstep(lanes, r):
@@ -337,14 +339,13 @@ def simulate_sessions_bytes(treatments: int, sessions: int, rounds: int, r: int)
 
 def simulate_vnm_bytes(treatments: int, sessions: int, rounds: int) -> int:
     """Bytes held at the peak of drawing `treatments` simulate_vnm states
-    one after another and keeping each as a dataset: the int64 states of
-    every earlier treatment; for the one being drawn, two float64 uniforms
-    and three one-byte masks per state (more than its int64 states, built
-    once the uniforms are freed); 256 bytes of Python objects per session
+    one after another and keeping each as a dataset: the states of every
+    earlier treatment; for the one being drawn, two float64 uniforms and
+    three one-byte masks per state; 256 bytes of Python objects per session
     and 64 KiB for the stream."""
     per_treatment = sessions * rounds
     return (
-        8 * (treatments - 1) * per_treatment
+        state_dtype(4).itemsize * (treatments - 1) * per_treatment
         + (16 + 3) * per_treatment
         + 256 * treatments * sessions
         + 2**16
@@ -472,12 +473,11 @@ def _dos_chunk(
     hi: int,
 ) -> np.ndarray:
     cuts = _cuts(dos)
-    state_type = np.uint8 if dos.size <= 2**8 else np.int64
     uniforms = _uniforms(seed)
 
     def block_states(start: int, stop: int) -> np.ndarray:
         u = uniforms(start, stop, n_rounds)
-        states = np.zeros(u.shape, dtype=state_type)
+        states = np.zeros(u.shape, dtype=state_dtype(dos.size))
         for cut in cuts:
             states += u >= cut
         return states

@@ -918,9 +918,9 @@ class TestExitCodesAndDeterminism:
         self, capsys, monkeypatch, tmp_path
     ):
         # 3 treatments x 2 sessions x 10 rounds on 4 states: 960 B of
-        # uniforms and states, 768 B of transitions and cuts, 512 B of cuts
-        # and 760 B of one session as Python objects, and 64 KiB for the
-        # stream = 68536 B
+        # uniforms, held twice while stacked, 768 B of transitions and cuts,
+        # 512 B of cuts and 760 B of one session as Python objects, and
+        # 64 KiB for the stream = 68536 B
         pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 68536}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
         args = ("--model", "square-cycle", "--drive-sweep", "0.5,0.6,0.7",
@@ -937,18 +937,18 @@ class TestExitCodesAndDeterminism:
     def test_vnm_memory_check_counts_uniforms_and_masks(
         self, capsys, monkeypatch, tmp_path
     ):
-        # 3 treatments x 2 sessions x 10 rounds: 320 B of the two earlier
-        # treatments' int64 states, 380 B of uniforms and masks for the one
+        # 3 treatments x 2 sessions x 10 rounds: 40 B of the two earlier
+        # treatments' uint8 states, 380 B of uniforms and masks for the one
         # being drawn, 1536 B of session objects and 64 KiB for the stream
-        # = 67772 B
-        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 67772}
+        # = 67492 B
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 67492}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
         args = ("--model", "vnm", "--treatments", "3", "--sessions", "2",
                 "--rounds", "10")
         out = tmp_path / "x.csv"
         code, _, _ = run_cli(capsys, "simulate", "--output", str(out), *args)
         assert code == 0 and out.exists()
-        pages["SC_PHYS_PAGES"] = 67771
+        pages["SC_PHYS_PAGES"] = 67491
         out = tmp_path / "y.csv"
         code, _, err = run_cli(capsys, "simulate", "--output", str(out), *args)
         assert code == 1 and not out.exists()

@@ -18,7 +18,7 @@ from chainflux import (
     stationarity_diagnostic,
     triangle_3,
 )
-from chainflux.core import is_square_2x2
+from chainflux.core import is_square_2x2, state_dtype
 from chainflux.errors import (
     AllSessionsTooShortError,
     EmptyDataError,
@@ -176,6 +176,28 @@ class TestDomainTypes:
             TreatmentDataset.from_sessions("t", square_2x2(), {"s": [-1, 0]})
         with pytest.raises(ValueError):
             TreatmentDataset.from_sessions("t", square_2x2(), {"s": [[0, 1]]})
+        # non-integer states are rejected, not truncated
+        with pytest.raises(ValueError, match="must be integers, got float64"):
+            TreatmentDataset.from_sessions("t", square_2x2(), {"s": [0.5, 1.7, 3.9]})
+        with pytest.raises(ValueError, match="must be integers, got float64"):
+            TreatmentDataset("t", square_2x2(), np.array([0.2, 2.9]), [0, 2], ["s"])
+        with pytest.raises(ValueError, match="must be integers"):
+            TreatmentDataset.from_sessions(
+                "t", square_2x2(), {"s": [0, 1], "u": [], "v": [2.0]}
+            )
+        # empty sessions given as [] (float64 as arrays) carry no states
+        data = TreatmentDataset.from_sessions(
+            "t", square_2x2(), {"a": [], "b": [3, 1], "c": []}
+        )
+        assert data.states.tolist() == [3, 1] and data.offsets.tolist() == [0, 0, 2, 2]
+        empty = TreatmentDataset.from_sessions("t", square_2x2(), {"a": []})
+        assert empty.n_rounds == 0 and empty.states.dtype == state_dtype(4)
+        # states are checked before they are narrowed to uint8, in which
+        # -256 and 257 would read 0 and 1
+        with pytest.raises(ValueError, match="nonnegative"):
+            TreatmentDataset("t", square_2x2(), np.array([0, -256]), [0, 2], ["s"])
+        with pytest.raises(StateOutOfRangeError, match="contains state 257"):
+            TreatmentDataset("t", square_2x2(), np.array([0, 257]), [0, 2], ["s"])
 
     def test_dataset_state_range(self):
         with pytest.raises(StateOutOfRangeError):
@@ -188,7 +210,8 @@ class TestDomainTypes:
                 arr[0] = 0  # type: ignore[index]
 
     def test_fields_are_read_only_views_of_the_callers_arrays(self):
-        states, offsets = np.array([0, 1, 2, 3], dtype=np.int64), np.array([0, 4])
+        # states already in the type a dataset holds them in
+        states, offsets = np.array([0, 1, 2, 3], dtype=state_dtype(4)), np.array([0, 4])
         coords = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         dos, transition = np.full(4, 0.25), np.eye(4)
         space = StateSpace(("a", "b", "c", "d"), coords)

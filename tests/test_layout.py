@@ -12,15 +12,23 @@ from hypothesis import strategies as st
 
 from chainflux import (
     MarkovEstimate,
+    Seed,
     StateSpace,
     StationarityDiagnostic,
     TreatmentDataset,
+    VnmParams,
     estimate_markov,
+    load_csv,
     load_space,
+    nullmodels,
+    simulate_chain,
+    simulate_sessions,
+    simulate_vnm,
     square_2x2,
     stationarity_diagnostic,
+    write_csv,
 )
-from chainflux.core import chain_from_counts, pair_counts
+from chainflux.core import chain_from_counts, pair_counts, state_dtype
 from chainflux.errors import (
     AllSessionsTooShortError,
     ChainfluxError,
@@ -52,7 +60,8 @@ def loop_estimate_markov(data: TreatmentDataset, burn_in: int = 0) -> MarkovEsti
         occupancy += np.bincount(s, minlength=r)
         n_obs += int(s.size)
         if s.size >= 2:
-            codes = s[:-1] * r + s[1:]
+            # widened: a stored state times r overflows its narrow type
+            codes = s[:-1].astype(np.int64) * r + s[1:]
             counts += np.bincount(codes, minlength=r * r).reshape(r, r)
     if n_obs == 0:
         raise EmptyDataError(
@@ -206,32 +215,37 @@ def _ragged_ends(n: int, rng) -> np.ndarray:
 def test_pair_counts_matches_loop(b, r, n, ragged):
     rng = np.random.default_rng(b * 1000 + r * 10 + n)
     ends = _ragged_ends(n, rng) if ragged else np.array([n - 1])
-    states = rng.integers(0, r, size=(b, n))
-    # the nulls pass uint8 states when r <= 256, the data int64
-    for dtype in (np.uint8, np.int64)[r > 256 :]:
-        occupancy, counts = pair_counts(states.astype(dtype), ends, r)
-        want_occupancy, want_counts = loop_pair_counts(states, ends, r)
-        assert np.array_equal(occupancy, want_occupancy)
-        assert np.array_equal(counts, want_counts)
-        assert occupancy.sum() == b * n
-        assert counts.sum() == b * (n - ends.size)
+    states = rng.integers(0, r, size=(b, n)).astype(state_dtype(r))
+    occupancy, counts = pair_counts(states, ends, r)
+    want_occupancy, want_counts = loop_pair_counts(states, ends, r)
+    assert np.array_equal(occupancy, want_occupancy)
+    assert np.array_equal(counts, want_counts)
+    assert occupancy.sum() == b * n
+    assert counts.sum() == b * (n - ends.size)
 
 
 def test_300_state_json_space_matches_loop(tmp_path):
-    (tmp_path / "space.json").write_text(
-        json.dumps({"labels": [str(i) for i in range(300)],
-                    "coordinates": [[i, i % 7] for i in range(300)]})
-    )
-    space = load_space(str(tmp_path / "space.json"))
-    rng = np.random.default_rng(300)
-    data = TreatmentDataset.from_sessions(
-        "t", space, {f"s{n}": rng.integers(0, 300, n) for n in (1, 700, 0, 3)}
-    )
-    for burn_in in (0, 2):
-        fields = ("counts", "occupancy", "n_observations")
-        assert outcome(estimate_markov, data, burn_in, fields) == outcome(
-            loop_estimate_markov, data, burn_in, fields
+    # at r = 256 the states are uint8, in which a state times 3 wraps
+    for r in (256, 300):
+        (tmp_path / "space.json").write_text(
+            json.dumps({"labels": [str(i) for i in range(r)],
+                        "coordinates": [[i, i % 7] for i in range(r)]})
         )
+        space = load_space(str(tmp_path / "space.json"))
+        rng = np.random.default_rng(r)
+        sessions = {f"s{n}": rng.integers(0, r, n) for n in (1, 700, 0, 3)}
+        sessions["s9"] = np.repeat([r - 1, 0], 5)  # the top state in the first half
+        data = TreatmentDataset.from_sessions("t", space, sessions)
+        assert data.states.dtype == state_dtype(r)
+        for burn_in in (0, 2):
+            fields = ("counts", "occupancy", "n_observations")
+            assert outcome(estimate_markov, data, burn_in, fields) == outcome(
+                loop_estimate_markov, data, burn_in, fields
+            )
+            fields = ("first_half_dos", "second_half_dos", "linf_distance")
+            assert outcome(stationarity_diagnostic, data, burn_in, fields) == outcome(
+                loop_stationarity_diagnostic, data, burn_in, fields
+            )
 
 
 def test_pair_counts_one_record_sessions():
@@ -256,7 +270,7 @@ def flat(states=(0, 1, 2, 3, 0), offsets=(0, 2, 2, 5), ids=("a", "b", "c"), r=4)
 def test_flat_dataset_views():
     data = flat()
     assert data.n_rounds == 5
-    assert data.states.dtype == np.int64 and data.offsets.dtype == np.int64
+    assert data.states.dtype == np.uint8 and data.offsets.dtype == np.int64
     assert not data.states.flags.writeable and not data.offsets.flags.writeable
     assert [(sid, states.tolist()) for sid, states in sessions_of(data)] == [
         ("a", [0, 1]), ("b", []), ("c", [2, 3, 0])
@@ -318,3 +332,33 @@ def test_offsets_must_not_decrease():
 def test_one_id_per_session(ids):
     with pytest.raises(ValueError, match=f"3 sessions but {len(ids)} session ids"):
         flat(ids=ids)
+
+
+# ---------------------------------------------------------------------------
+# the state type
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("r", [4, 256, 257, 300])
+def test_every_producer_holds_states_as_state_dtype(tmp_path, r):
+    want = state_dtype(r)
+    assert want == (np.uint8 if r <= 256 else np.uint16)
+    space = space_of(r)
+    top = [0, r - 1, 1, r - 1]
+    by_sessions = TreatmentDataset.from_sessions("t", space, {"a": top, "b": []})
+    by_rows = TreatmentDataset.from_rows("u", space, np.array([top, top[::-1]]))
+    write_csv([by_sessions, by_rows], tmp_path / "d.csv")
+    loaded = load_csv(tmp_path / "d.csv", space)
+    assert [d.states.tolist() for d in loaded] == [top, top + top[::-1]]
+    chain = np.full((r, r), 1 / r)
+    dos0 = np.full(r, 1 / r)
+    produced = [
+        *(d.states for d in (by_sessions, by_rows, *loaded)),
+        simulate_chain(dos0, chain, 20, Seed(1)),
+        simulate_sessions([dos0], [chain], 2, 20, Seed(1)),
+    ]
+    if r <= nullmodels._LOCKSTEP_STATES:
+        lanes = nullmodels._LOCKSTEP_LANES
+        produced.append(simulate_sessions([dos0], [chain], lanes, 3, Seed(1)))
+        produced.append(simulate_vnm(VnmParams(0.3, 0.6, 2, 5), Seed(1)))
+    assert [states.dtype for states in produced] == [want] * len(produced)

@@ -31,7 +31,7 @@ from chainflux import (
     square_2x2,
     write_csv,
 )
-from chainflux.core import is_square_2x2
+from chainflux.core import is_square_2x2, state_dtype
 from chainflux.errors import InvalidDistributionError
 from conftest import sessions_of
 from test_ingest import IDS, QUOTED_IDS
@@ -111,7 +111,7 @@ def test_simulate_chain_matches_loop(case):
     seed = Seed(int(rng.integers(0, 2**63)))
     states = simulate_chain(dos0, transition, n, seed)
     reference = loop_simulate_chain(dos0, transition, n, seed)
-    assert states.dtype == np.int64
+    assert states.dtype == state_dtype(r)
     assert np.array_equal(states, reference)
 
 
@@ -147,7 +147,7 @@ def test_simulate_sessions_matches_loop(r, lanes):
     seed = Seed(int(rng.integers(0, 2**63)))
     states = simulate_sessions(dos0, transitions, sessions, rounds, seed)
     assert states.shape == (treatments, sessions, rounds)
-    assert states.dtype == np.int64
+    assert states.dtype == state_dtype(r)
     for t in range(treatments):
         for s in range(sessions):
             reference = loop_simulate_chain(
