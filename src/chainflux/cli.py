@@ -101,11 +101,12 @@ def _check_fits_memory(flags: str, nbytes: int, what: str) -> None:
         )
 
 
-def _check_null_fits_memory(config: AnalysisConfig, observables: int) -> None:
-    # each observable's float64 samples, per chunk and once concatenated
+def _check_null_fits_memory(config: AnalysisConfig) -> None:
+    # the null's entropy and EPR float64 samples, per chunk and once
+    # concatenated
     _check_fits_memory(
         f"--reps {config.mc_reps}",
-        2 * 8 * observables * config.mc_reps,
+        2 * 8 * 2 * config.mc_reps,
         "Monte-Carlo samples",
     )
 
@@ -277,7 +278,7 @@ def run_minimax(config: AnalysisConfig) -> dict:
             "minimax-test needs the 4-state square space "
             "(index = 2*row_action + col_action)"
         )
-    _check_null_fits_memory(config, observables=2)
+    _check_null_fits_memory(config)
     return _run(config, "minimax-test", _minimax_treatment, _minimax_across)
 
 
@@ -319,7 +320,7 @@ def _cycle_across(entries: list[dict]) -> tuple[dict, dict, dict]:
 def run_cycle_test(config: AnalysisConfig) -> dict:
     """Detect persistent cycling: empirical EPR against the i.i.d.-DOS
     finite-sample baseline, per treatment."""
-    _check_null_fits_memory(config, observables=1)
+    _check_null_fits_memory(config)
     # detection is mc_p < alpha and mc_p >= 1/(reps+1)
     if config.alpha <= 1.0 / (config.mc_reps + 1):
         _progress(

@@ -1,26 +1,25 @@
 """Monte-Carlo null models and the synthetic-chain simulator.
 
-Two nulls: independent mixed-strategy play with fixed marginals (the
-randomization prediction for 2x2 games), and i.i.d. redraws from an
-empirical DOS (the finite-sample baseline for cycle detection). Replicate k
-of any run draws from a counter-based stream derived only from (root seed,
-k), so results are identical under any execution order, chunking, or number
-of worker processes.
-
-Replicate k of seed s draws from Philox keyed by s.split(k).root. The keys
-of up to _KEYS_PER_PASS consecutive replicates come from one uint64
-splitmix64 pass over their indices, bit-equal to Seed.split, and one Philox
-is re-keyed to each in turn; Seed.split and Seed.generator stay the
-definition of the stream.
+Two nulls, one kernel: each replicate draws every record i.i.d. from a DOS,
+cut into sessions like a dataset's, and estimates its chain. The i.i.d.
+null (the finite-sample baseline for cycle detection) draws from an
+empirical DOS as one session. The independent-play null (the randomization
+prediction for 2x2 games) draws independent row and column actions with
+fixed marginals, so its state is i.i.d. with their product DOS; it plays
+equal-length sessions. Replicate k of seed s draws one uniform per record
+from Philox keyed by s.split(k).root, so results are identical under any
+execution order, chunking, or number of worker processes. The keys of up to
+_KEYS_PER_PASS consecutive replicates come from one uint64 splitmix64 pass
+over their indices, bit-equal to Seed.split, and one Philox is re-keyed to
+each in turn; Seed.split and Seed.generator stay the definition of the
+stream.
 
 Replicates are drawn in blocks of B replicates: one (B, n) array of at
-most _BLOCK_DRAWS uniforms, mapped to flat (B, n) states laid out like a
-dataset's (the i.i.d. null as one session, the independent-play null as
-equal-length sessions one after another), and counted by core.pair_counts,
-the kernel estimate_markov uses, with the index of each session's last
-state. A block also holds at most _BLOCK_CELLS pair counts (B·r²), so its
-(B, r, r) arrays stay small on many states. States are held as
-core.state_dtype(r). The counts of consecutive blocks are gathered in
+most _BLOCK_DRAWS uniforms, mapped to flat (B, n) states, and counted by
+core.pair_counts, the kernel estimate_markov uses, with the index of each
+session's last state. A block also holds at most _BLOCK_CELLS pair counts
+(B·r²), so its (B, r, r) arrays stay small on many states. States are held
+as core.state_dtype(r). The counts of consecutive blocks are gathered in
 groups of up to _GROUP_CELLS pair counts (a group is never smaller than one
 block), and each group's chains and observables are evaluated in one
 batched call.
@@ -309,9 +308,9 @@ def simulate_sessions(
     cuts0, cuts = _chain_cuts(dos0, transitions)
     t_count = dos0.shape[0]
     # row s of a treatment's _uniforms is the stream seed.split(t).split(s)
-    u = np.stack(
-        [_uniforms(seed.split(t))(0, sessions, rounds) for t in range(t_count)]
-    )
+    u = np.empty((t_count, sessions, rounds))
+    for t in range(t_count):
+        u[t] = _uniforms(seed.split(t))(0, sessions, rounds)
     if _walks_in_lockstep(t_count * sessions, dos0.shape[1]):
         states = _lockstep_walk(cuts0, cuts, u.reshape(-1, rounds))
         return states.reshape(u.shape)
@@ -325,13 +324,18 @@ def simulate_sessions(
 
 def simulate_sessions_bytes(treatments: int, sessions: int, rounds: int, r: int) -> int:
     """Bytes simulate_sessions holds at its peak for these sizes: every
-    lane's float64 uniforms twice while they are stacked (more than the
-    uniforms and states of the walk), the transitions and their cuts, 64 KiB
-    for the stream's key pass and Philox, plus one lockstep round's gathered
-    cuts, masks and indices, or one treatment's cuts and one session's
-    uniforms and states as Python objects."""
+    lane's float64 uniforms and states, one treatment's uniforms while they
+    are drawn, the transitions and their cuts, 64 KiB for the stream's key
+    pass and Philox, plus one lockstep round's gathered cuts, masks and
+    indices, or one treatment's cuts and one session's uniforms and states
+    as Python objects."""
     lanes = treatments * sessions
-    held = 16 * lanes * rounds + 16 * treatments * r * r + 2**16
+    held = (
+        (8 + state_dtype(r).itemsize) * lanes * rounds
+        + 8 * sessions * rounds
+        + 16 * treatments * r * r
+        + 2**16
+    )
     if _walks_in_lockstep(lanes, r):
         return held + lanes * (9 * (r - 1) + 32)
     return held + 32 * r * r + rounds * (8 + 32 + 36)
@@ -352,23 +356,19 @@ def simulate_vnm_bytes(treatments: int, sessions: int, rounds: int) -> int:
     )
 
 
-def _vnm_states(u: np.ndarray, p: float, q: float) -> np.ndarray:
-    """Joint uint8 square states from uniforms of shape (..., 2, rounds):
-    the row player's draws come before the column's."""
-    return action_state(u[..., 0, :] < p, u[..., 1, :] < q)
-
-
 def simulate_vnm(params: VnmParams, seed: Seed) -> np.ndarray:
     """Sample independent mixed-strategy play on the 4-state square space:
     the uint8 states, shape (sessions, rounds_per_session), of params.
 
     Every round draws row_action ~ Bernoulli(p) and col_action ~ Bernoulli(q)
     independently; the joint state is core.action_state(row_action,
-    col_action). Session count and rounds per session come from params, so
+    col_action). Each session draws its row actions, then its column
+    actions. Session count and rounds per session come from params, so
     the sample size matches the treatment the null is built for.
     """
     shape = (params.sessions, 2, params.rounds_per_session)
-    return _vnm_states(seed.generator().random(shape), params.p, params.q)
+    u = seed.generator().random(shape)
+    return action_state(u[:, 0] < params.p, u[:, 1] < params.q)
 
 
 def _uniforms(seed: Seed):
@@ -409,22 +409,41 @@ def _uniforms(seed: Seed):
     return uniforms
 
 
-def _replicate_chains(
-    lo: int, hi: int, r: int, draws: int, ends: np.ndarray, block_states
-):
-    """Yield (rows, dos, flux) for consecutive groups of the replicates
-    [lo, hi): rows slices the group out of an array over [lo, hi), and
-    dos and flux have shapes (G, r) and (G, r, r).
+def _iid_states(u: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """The state of each uniform: the number of cuts at or below it. The
+    null passes each block's uniforms straight in, so that they are freed
+    before the block's pairs are counted."""
+    states = np.zeros(u.shape, dtype=state_dtype(cuts.size + 1))
+    for cut in cuts:
+        states += u >= cut
+    return states
 
-    block_states(start, stop) returns the states of one draw block, shape
-    (B, n), whose sessions end at the indices `ends` (see core.pair_counts):
-    at most _BLOCK_DRAWS uniforms and _BLOCK_CELLS pair counts, and at least
-    one replicate. A group gathers the counts of whole blocks, up to
-    _GROUP_CELLS pair counts, so that chains and observables are evaluated
-    once per group, not once per block.
+
+def _null_chunk(
+    dos: np.ndarray,
+    ends: np.ndarray,
+    policy: ZeroFluxPolicy,
+    seed: Seed,
+    lo: int,
+    hi: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(entropy, EPR) samples of the replicates [lo, hi): each draws one
+    i.i.d. state from dos per record, in sessions whose last states are at
+    the indices `ends` (see core.pair_counts), and estimates its chain.
+
+    A block holds at most _BLOCK_DRAWS uniforms and _BLOCK_CELLS pair
+    counts, and at least one replicate. A group gathers the counts of whole
+    blocks, up to _GROUP_CELLS pair counts, so that chains and observables
+    are evaluated once per group, not once per block.
     """
-    block = max(1, min(_BLOCK_DRAWS // draws, _BLOCK_CELLS // (r * r)))
+    r = dos.size
+    n = int(ends[-1]) + 1
+    cuts = _cuts(dos)
+    uniforms = _uniforms(seed)
+    block = max(1, min(_BLOCK_DRAWS // n, _BLOCK_CELLS // (r * r)))
     group = block * max(1, _GROUP_CELLS // (block * r * r))
+    ent = np.empty(hi - lo)
+    pro = np.empty(hi - lo)
     for group_lo in range(lo, hi, group):
         group_hi = min(group_lo + group, hi)
         occupancy = np.empty((group_hi - group_lo, r), dtype=np.int64)
@@ -433,62 +452,13 @@ def _replicate_chains(
             stop = min(start + block, group_hi)
             rows = slice(start - group_lo, stop - group_lo)
             occupancy[rows], counts[rows] = pair_counts(
-                block_states(start, stop), ends, r
+                _iid_states(uniforms(start, stop, n), cuts), ends, r
             )
-        dos, transition = chain_from_counts(occupancy, counts)
-        yield slice(group_lo - lo, group_hi - lo), dos, dos[:, :, None] * transition
-
-
-def _vnm_chunk(
-    params: VnmParams,
-    policy: ZeroFluxPolicy,
-    seed: Seed,
-    lo: int,
-    hi: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    rounds = params.rounds_per_session
-    n = params.sessions * rounds
-    uniforms = _uniforms(seed)
-
-    def block_states(start: int, stop: int) -> np.ndarray:
-        u = uniforms(start, stop, 2 * n).reshape(-1, params.sessions, 2, rounds)
-        return _vnm_states(u, params.p, params.q).reshape(-1, n)
-
-    ends = np.arange(rounds - 1, n, rounds)
-    ent = np.empty(hi - lo)
-    pro = np.empty(hi - lo)
-    for rows, dos, flux in _replicate_chains(lo, hi, 4, 2 * n, ends, block_states):
-        ent[rows] = entropy_batch(dos)
-        # ROADMAP item 5 reads the skipped counts here, as one more array
-        pro[rows], _ = epr_batch(flux, policy)
+        group_dos, transition = chain_from_counts(occupancy, counts)
+        rows = slice(group_lo - lo, group_hi - lo)
+        ent[rows] = entropy_batch(group_dos)
+        pro[rows], _ = epr_batch(group_dos[:, :, None] * transition, policy)
     return ent, pro
-
-
-def _dos_chunk(
-    dos: np.ndarray,
-    n_rounds: int,
-    policy: ZeroFluxPolicy,
-    seed: Seed,
-    lo: int,
-    hi: int,
-) -> np.ndarray:
-    cuts = _cuts(dos)
-    uniforms = _uniforms(seed)
-
-    def block_states(start: int, stop: int) -> np.ndarray:
-        u = uniforms(start, stop, n_rounds)
-        states = np.zeros(u.shape, dtype=state_dtype(dos.size))
-        for cut in cuts:
-            states += u >= cut
-        return states
-
-    ends = np.array([n_rounds - 1])
-    out = np.empty(hi - lo)
-    chains = _replicate_chains(lo, hi, dos.size, n_rounds, ends, block_states)
-    for rows, _, flux in chains:
-        # ROADMAP item 5 reads the skipped counts here, as one more array
-        out[rows], _ = epr_batch(flux, policy)
-    return out
 
 
 def _chunk_ranges(reps: int, workers: int) -> list[tuple[int, int]]:
@@ -504,18 +474,33 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_chunks(fn, common_args: tuple, reps: int, workers: int) -> list:
+def _run_chunks(
+    dos: np.ndarray,
+    ends: np.ndarray,
+    reps: int,
+    policy: ZeroFluxPolicy,
+    seed: Seed,
+    workers: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(entropy, EPR) samples of `reps` _null_chunk replicates, in replicate
+    order, drawn in-process or in a process pool of at most `workers`."""
+    if reps < 2:
+        raise ValueError("reps must be >= 2")
     workers = min(workers, _usable_cpus())
     ranges = _chunk_ranges(reps, workers)
+    args = (dos, ends, policy, seed)
     if workers <= 1 or len(ranges) == 1:
-        return [fn(*common_args, lo, hi) for lo, hi in ranges]
-    # imported here: multiprocessing costs every command start-up time and
-    # memory, and most runs never start a pool
-    from concurrent.futures import ProcessPoolExecutor
+        results = [_null_chunk(*args, lo, hi) for lo, hi in ranges]
+    else:
+        # imported here: multiprocessing costs every command start-up time
+        # and memory, and most runs never start a pool
+        from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(workers, len(ranges))) as pool:
-        futures = [pool.submit(fn, *common_args, lo, hi) for lo, hi in ranges]
-        return [f.result() for f in futures]
+        with ProcessPoolExecutor(max_workers=min(workers, len(ranges))) as pool:
+            futures = [pool.submit(_null_chunk, *args, lo, hi) for lo, hi in ranges]
+            results = [f.result() for f in futures]
+    ent, pro = zip(*results)
+    return np.concatenate(ent), np.concatenate(pro)
 
 
 def vnm_null_distribution(
@@ -526,20 +511,24 @@ def vnm_null_distribution(
     *,
     workers: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample the independent-play null: each replicate simulates a dataset
-    under params, estimates its chain, and records entropy and EPR.
+    """Sample the independent-play null: each replicate draws a dataset of
+    params' sessions, estimates its chain, and records entropy and EPR.
 
-    Returns float64 (entropy samples, EPR samples), `reps` each, in
-    replicate order. The null always plays on the canonical square space
-    (core.action_state). `workers` is capped at the number
-    of CPUs the process may use.
+    A round's row and column actions are independent, so its state is
+    i.i.d. with the product DOS P(row) P(col) on the canonical square space
+    (core.action_state): the i.i.d. null of dos_baseline, cut into
+    equal-length sessions. Returns float64 (entropy samples, EPR samples),
+    `reps` each, in replicate order. `workers` is capped at the number of
+    CPUs the process may use.
     """
-    if reps < 2:
-        raise ValueError("reps must be >= 2")
-    results = _run_chunks(_vnm_chunk, (params, policy, seed), reps, workers)
-    ent = np.concatenate([r[0] for r in results])
-    pro = np.concatenate([r[1] for r in results])
-    return ent, pro
+    actions = np.arange(2)
+    dos = np.zeros(4)
+    dos[action_state(actions[:, None], actions)] = np.outer(
+        [1 - params.p, params.p], [1 - params.q, params.q]
+    )
+    rounds = params.rounds_per_session
+    ends = np.arange(rounds - 1, params.sessions * rounds, rounds)
+    return _run_chunks(dos, ends, reps, policy, seed, workers)
 
 
 def dos_baseline(
@@ -563,7 +552,5 @@ def dos_baseline(
     _check_distribution(dos, "dos")
     if n_rounds < 2:
         raise ValueError("n_rounds must be >= 2")
-    if reps < 2:
-        raise ValueError("reps must be >= 2")
-    results = _run_chunks(_dos_chunk, (dos, n_rounds, policy, seed), reps, workers)
-    return np.concatenate(results)
+    ends = np.array([n_rounds - 1])
+    return _run_chunks(dos, ends, reps, policy, seed, workers)[1]

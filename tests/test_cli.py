@@ -917,18 +917,19 @@ class TestExitCodesAndDeterminism:
     def test_memory_check_counts_states_not_allocations(
         self, capsys, monkeypatch, tmp_path
     ):
-        # 3 treatments x 2 sessions x 10 rounds on 4 states: 960 B of
-        # uniforms, held twice while stacked, 768 B of transitions and cuts,
-        # 512 B of cuts and 760 B of one session as Python objects, and
-        # 64 KiB for the stream = 68536 B
-        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 68536}
+        # 3 treatments x 2 sessions x 10 rounds on 4 states: 480 B of
+        # uniforms, 60 B of uint8 states, 160 B of one treatment's uniforms
+        # while they are drawn, 768 B of transitions and cuts, 512 B of cuts
+        # and 760 B of one session as Python objects, and 64 KiB for the
+        # stream = 68276 B
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 68276}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
         args = ("--model", "square-cycle", "--drive-sweep", "0.5,0.6,0.7",
                 "--sessions", "2", "--rounds", "10")
         out = tmp_path / "x.csv"
         code, _, _ = run_cli(capsys, "simulate", "--output", str(out), *args)
         assert code == 0 and out.exists()
-        pages["SC_PHYS_PAGES"] = 68535
+        pages["SC_PHYS_PAGES"] = 68275
         out = tmp_path / "y.csv"
         code, _, err = run_cli(capsys, "simulate", "--output", str(out), *args)
         assert code == 1 and not out.exists()
@@ -1248,10 +1249,10 @@ class TestGoldenReports:
             ),
             (
                 "minimax-test", "vnm", ("--reps", "100"),
-                "c9c01ca93662924231cc38ed3f095d6340509dfe6453a09fb1b41f2e97ad99c0",
-                {"command": "minimax-test", "epr_paired_p": 0.5988828648177722,
+                "5c3f2b27b22f45c45457319c6e2c7909681c807c661b0aa33b468f7141b3b4a3",
+                {"command": "minimax-test", "epr_paired_p": 0.6817657446806932,
                  "treatments": 3},
-                "7f6ab0483429d8363445110a3eda7e79e1b7b47ced3bb2ddf5e63d3bcd32a0d5",
+                "6d4a36b07644b956dbf34c9e785a7b2c7f6d818cc57d03afd164e8b58f3d6ac3",
             ),
             (
                 "motion-fit", "sweep", (),

@@ -12,6 +12,7 @@ from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 import chainflux.nullmodels as nullmodels
 from chainflux import (
@@ -40,20 +41,33 @@ SMOOTH = ZeroFluxPolicy.smooth(1e-6)
 STRICT = ZeroFluxPolicy.strict()
 
 
-def loop_dos_baseline(dos, n_rounds, reps, policy, seed):
-    """Reference i.i.d.-DOS null, one replicate at a time: draw replicate k's
-    sequence from seed.split(k), estimate its chain, take the EPR."""
+def loop_null(dos, lengths, reps, policy, seed):
+    """Reference null, one replicate at a time: replicate k draws one
+    uniform per record from seed.split(k), maps each to an i.i.d. state of
+    dos, cuts the records into sessions of `lengths`, estimates the
+    dataset's chain and takes its entropy and EPR."""
     dos = np.asarray(dos, dtype=float)
     r = dos.size
     space = StateSpace(tuple(str(i) for i in range(r)), np.arange(r, dtype=float))
     cum = np.cumsum(dos)
-    samples = []
+    ent, pro = [], []
     for k in range(reps):
-        u = seed.split(k).generator().random(n_rounds)
+        u = seed.split(k).generator().random(sum(lengths))
         states = np.minimum(np.searchsorted(cum, u, side="right"), r - 1)
-        data = TreatmentDataset.from_sessions("baseline", space, {"s1": states})
-        samples.append(epr(estimate_markov(data), policy)[0])
-    return np.array(samples)
+        sessions = np.split(states, np.cumsum(lengths)[:-1])
+        data = TreatmentDataset.from_sessions(
+            "null", space, {f"s{i + 1}": s for i, s in enumerate(sessions)}
+        )
+        est = estimate_markov(data)
+        ent.append(entropy(est))
+        pro.append(epr(est, policy)[0])
+    return np.array(ent), np.array(pro)
+
+
+def product_dos(p, q):
+    """The independent-play DOS on the square: state 2*row + col has
+    probability P(row) P(col)."""
+    return [(1 - p) * (1 - q), (1 - p) * q, p * (1 - q), p * q]
 
 
 def _sparse_dos(r):
@@ -61,23 +75,6 @@ def _sparse_dos(r):
     from state 0 on, has zero probability."""
     w = (np.arange(r) % 3).astype(float)
     return w / w.sum()
-
-
-def loop_vnm_null(params, reps, policy, seed):
-    """Reference independent-play null, one replicate at a time: each session
-    draws its row actions, then its column actions, from seed.split(k)."""
-    ent, pro = [], []
-    for k in range(reps):
-        rng = seed.split(k).generator()
-        sessions = {}
-        for s in range(params.sessions):
-            rows = rng.random(params.rounds_per_session) < params.p
-            cols = rng.random(params.rounds_per_session) < params.q
-            sessions[f"s{s + 1}"] = 2 * rows.astype(int) + cols
-        est = estimate_markov(TreatmentDataset.from_sessions("vnm", square_2x2(), sessions))
-        ent.append(entropy(est))
-        pro.append(epr(est, policy)[0])
-    return np.array(ent), np.array(pro)
 
 
 class TestSeed:
@@ -351,6 +348,31 @@ class TestVnmNullDistribution:
         with pytest.raises(ValueError):
             vnm_null_distribution(params, 1, SKIP, Seed(0))
 
+    @pytest.mark.parametrize("p, q, rounds", [(0.4, 0.6, 192), (0.1, 0.75, 50)])
+    def test_one_session_is_dos_baseline_of_product_dos(self, p, q, rounds):
+        params = VnmParams(p=p, q=q, sessions=1, rounds_per_session=rounds)
+        _, pro = vnm_null_distribution(params, 300, SKIP, Seed(11))
+        baseline = dos_baseline(product_dos(p, q), rounds, 300, SKIP, Seed(11))
+        assert np.array_equal(pro, baseline)
+
+    def test_same_law_as_simulate_vnm_datasets(self):
+        # simulate_vnm draws each session's row actions, then its column
+        # actions: two uniforms per record against the null's one
+        params = VnmParams(p=0.4, q=0.6, sessions=4, rounds_per_session=100)
+        ent, pro = vnm_null_distribution(params, 2000, SKIP, Seed(2101))
+        space = square_2x2()
+        drawn_ent, drawn_pro = [], []
+        for k in range(2000):
+            states = simulate_vnm(params, Seed(2102).split(k))
+            data = TreatmentDataset.from_sessions(
+                "vnm", space, {f"s{s + 1}": row for s, row in enumerate(states)}
+            )
+            est = estimate_markov(data)
+            drawn_ent.append(entropy(est))
+            drawn_pro.append(epr(est, SKIP)[0])
+        assert ks_2samp(ent, drawn_ent).pvalue > 0.01
+        assert ks_2samp(pro, drawn_pro).pvalue > 0.01
+
 
 class TestDosBaseline:
     def test_degenerate_dos_gives_all_zero(self):
@@ -431,26 +453,28 @@ class TestBlockKernelMatchesLoop:
     )
     def test_dos_baseline_bit_identical(self, dos, n_rounds, reps, policy):
         batched = dos_baseline(dos, n_rounds, reps, policy, Seed(606))
-        reference = loop_dos_baseline(dos, n_rounds, reps, policy, Seed(606))
+        _, reference = loop_null(dos, [n_rounds], reps, policy, Seed(606))
         assert np.array_equal(batched, reference)
 
     @pytest.mark.parametrize("policy", [SKIP, SMOOTH], ids=["skip", "smooth"])
     @pytest.mark.parametrize(
         "p, q, sessions, rounds, reps",
         [
-            # 85 replicates per block at 16x12: three blocks
+            # 170 replicates per block at 16x12: two blocks
             (0.5, 0.5, 16, 12, 200),
             (0.3, 0.8, 1, 150, 30),
             (0.6, 0.4, 3, 2, 30),
             (1.0, 0.0, 2, 5, 10),
-            # evaluation groups of three 85-replicate blocks: 255, 255, 90
+            # one 170-replicate block per evaluation group: 170, 170, 170, 90
             (0.4, 0.7, 16, 12, 600),
         ],
     )
     def test_vnm_null_bit_identical(self, p, q, sessions, rounds, reps, policy):
         params = VnmParams(p=p, q=q, sessions=sessions, rounds_per_session=rounds)
         ent, pro = vnm_null_distribution(params, reps, policy, Seed(607))
-        ref_ent, ref_pro = loop_vnm_null(params, reps, policy, Seed(607))
+        ref_ent, ref_pro = loop_null(
+            product_dos(p, q), [rounds] * sessions, reps, policy, Seed(607)
+        )
         assert np.array_equal(ent, ref_ent)
         assert np.array_equal(pro, ref_pro)
 
@@ -458,7 +482,7 @@ class TestBlockKernelMatchesLoop:
         with pytest.raises(OneSidedZeroFluxError) as batched:
             dos_baseline([0.25] * 4, 60, 400, STRICT, Seed(2024))
         with pytest.raises(OneSidedZeroFluxError) as reference:
-            loop_dos_baseline([0.25] * 4, 60, 400, STRICT, Seed(2024))
+            loop_null([0.25] * 4, [60], 400, STRICT, Seed(2024))
         assert batched.value.pair == reference.value.pair
         assert str(batched.value) == str(reference.value)
 
@@ -467,7 +491,7 @@ class TestBlockKernelMatchesLoop:
         with pytest.raises(OneSidedZeroFluxError) as batched:
             vnm_null_distribution(params, 50, STRICT, Seed(5))
         with pytest.raises(OneSidedZeroFluxError) as reference:
-            loop_vnm_null(params, 50, STRICT, Seed(5))
+            loop_null(product_dos(0.5, 0.5), [12, 12], 50, STRICT, Seed(5))
         assert str(batched.value) == str(reference.value)
 
     def test_golden_samples(self):
@@ -486,19 +510,20 @@ class TestBlockKernelMatchesLoop:
             1.5434546097467383,
             0.03514954727890881,
         ]
+        # captured from loop_null with the product DOS
         params = VnmParams(p=0.4, q=0.6, sessions=3, rounds_per_session=12)
         ent, pro = vnm_null_distribution(params, 4, SKIP, Seed(2024))
         assert ent.tolist() == [
-            0.9490822953528213,
-            0.9231744383358151,
-            0.9849575079984074,
-            0.9574761930892347,
+            0.9718400513719626,
+            0.9319131950454079,
+            0.9773429734731779,
+            0.9199603639621071,
         ]
         assert pro.tolist() == [
-            0.05493709658955341,
-            0.09495988814832632,
-            0.28647366334770225,
-            0.07748945119068339,
+            0.17974786896406442,
+            0.061374270847355805,
+            0.034208811192136035,
+            0.04669941023440809,
         ]
         with pytest.raises(OneSidedZeroFluxError, match=r"\(1, 2\).*forward=0\.01666"):
             dos_baseline([0.25] * 4, 60, 50, STRICT, Seed(2024))
