@@ -46,16 +46,7 @@ from .observables import (
     motion,
     velocity,
 )
-from .stats import (
-    OlsFit,
-    TestResult,
-    ols_fit,
-    one_sample_t,
-    paired_t,
-    percentile_of,
-    student_t_cdf,
-    welch_t,
-)
+from .stats import OlsFit, mc_p_value, ols_fit, percentile_of
 
 __version__ = "0.1.0"
 
@@ -87,12 +78,8 @@ __all__ = [
     "simulate_vnm_bytes",
     "vnm_null_distribution",
     "dos_baseline",
-    "TestResult",
     "OlsFit",
-    "student_t_cdf",
-    "one_sample_t",
-    "paired_t",
-    "welch_t",
+    "mc_p_value",
     "percentile_of",
     "ols_fit",
     "AnalysisConfig",

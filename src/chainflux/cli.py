@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import gc
 import json
 import os
@@ -35,7 +36,7 @@ from .dataio import (
     write_csv,
     write_report,
 )
-from .errors import ChainfluxError, ConfigError, EmptyDataError, ZeroVarianceError
+from .errors import ChainfluxError, ConfigError, EmptyDataError
 from .nullmodels import (
     Seed,
     VnmParams,
@@ -48,7 +49,7 @@ from .nullmodels import (
     vnm_null_distribution,
 )
 from .observables import ZeroFluxPolicy, epr, full_report
-from .stats import TestResult, ols_fit, paired_t, percentile_of, welch_t
+from .stats import mc_p_value, ols_fit, percentile_of
 
 __all__ = [
     "main",
@@ -101,26 +102,14 @@ def _check_fits_memory(flags: str, nbytes: int, what: str) -> None:
         )
 
 
-def _check_null_fits_memory(config: AnalysisConfig) -> None:
-    # the null's entropy and EPR float64 samples, per chunk and once
-    # concatenated
+def _check_null_fits_memory(config: AnalysisConfig, arrays: int) -> None:
+    """Reject a --reps whose `arrays` float64 arrays of one sample per
+    replicate exceed physical memory."""
     _check_fits_memory(
         f"--reps {config.mc_reps}",
-        2 * 8 * 2 * config.mc_reps,
+        arrays * 8 * config.mc_reps,
         "Monte-Carlo samples",
     )
-
-
-def _mc_exceedance_p(samples: np.ndarray, value: float) -> float:
-    """Add-one Monte-Carlo p-value for 'value is above the null'; negated, for 'below'."""
-    return (1 + int(np.count_nonzero(samples >= value))) / (samples.size + 1)
-
-
-def _safe_test(fn, *args, **kwargs) -> TestResult | dict:
-    try:
-        return fn(*args, **kwargs)
-    except ZeroVarianceError as exc:
-        return {"error": "zero_variance", "detail": str(exc)}
 
 
 def _baseline_summary(observable, samples, config, seed, constraints) -> dict:
@@ -211,7 +200,11 @@ def _vnm_params_from(est: MarkovEstimate, data: TreatmentDataset, burn_in: int) 
     )
 
 
-def _minimax_treatment(config: AnalysisConfig, idx: int, data: TreatmentDataset) -> dict:
+def _minimax_treatment(
+    config: AnalysisConfig, idx: int, data: TreatmentDataset, null_sums=None
+) -> dict:
+    """One treatment's entry. Its null's entropy and EPR samples are added
+    into the rows of `null_sums`, a (2, reps) array, when one is given."""
     est = estimate_markov(data, config.burn_in)
     report = full_report(est, config.policy)
     params = _vnm_params_from(est, data, config.burn_in)
@@ -219,6 +212,9 @@ def _minimax_treatment(config: AnalysisConfig, idx: int, data: TreatmentDataset)
     ent_null, epr_null = vnm_null_distribution(
         params, config.mc_reps, config.policy, seed, workers=config.workers
     )
+    if null_sums is not None:
+        null_sums[0] += ent_null
+        null_sums[1] += epr_null
     constraints = dataclasses.asdict(params)
     baselines = [
         _baseline_summary("entropy", ent_null, config, seed, constraints),
@@ -239,47 +235,55 @@ def _minimax_treatment(config: AnalysisConfig, idx: int, data: TreatmentDataset)
         "baselines": baselines,
         "epr_percentile": percentile_of(epr_null, report.epr),
         "entropy_percentile": percentile_of(ent_null, report.entropy),
-        "epr_mc_p": _mc_exceedance_p(epr_null, report.epr),
-        "entropy_mc_p": min(1.0, 2 * _mc_exceedance_p(ent_null, report.entropy),
-                            2 * _mc_exceedance_p(-ent_null, -report.entropy)),
+        "epr_mc_p": mc_p_value(epr_null, report.epr, "greater"),
+        "entropy_mc_p": mc_p_value(ent_null, report.entropy, "two_sided"),
     }
 
 
-def _minimax_across(entries: list[dict]) -> tuple[dict, dict, dict]:
-    """Paired and Welch comparisons of the treatments' observables with
-    their null means; they need at least two treatments."""
-    if len(entries) < 2:
-        return {}, {}, {}
-    emp_epr = [e["observables"].epr for e in entries]
-    emp_entropy = [e["observables"].entropy for e in entries]
-    null_entropy_mean = [e["baselines"][0]["mean"] for e in entries]
-    null_epr_mean = [e["baselines"][1]["mean"] for e in entries]
+def _sum_test(null_sum: np.ndarray, observed: float, direction: str, n: int) -> dict:
+    return {
+        "statistic": observed,
+        "null_mean": float(null_sum.mean()),
+        "p_value": mc_p_value(null_sum, observed, direction),
+        "reps": null_sum.size,
+        "n": n,
+        "direction": direction,
+    }
+
+
+def _minimax_across(entries: list[dict], null_sums: np.ndarray) -> tuple[dict, dict, dict]:
+    """Add-one Monte-Carlo tests of the treatments' summed entropy and EPR.
+    Replicate k of every treatment draws from its own stream, so column k of
+    `null_sums` is one draw of the sums' null, for any number of treatments."""
+    n = len(entries)
     tests = {
-        "epr_paired_greater": _safe_test(
-            paired_t, emp_epr, null_epr_mean, "greater"
+        "epr_sum_greater": _sum_test(
+            null_sums[1], sum(e["observables"].epr for e in entries), "greater", n
         ),
-        "epr_welch_greater": _safe_test(
-            welch_t, emp_epr, null_epr_mean, "greater"
-        ),
-        "entropy_paired_two_sided": _safe_test(
-            paired_t, emp_entropy, null_entropy_mean, "two_sided"
+        "entropy_sum_two_sided": _sum_test(
+            null_sums[0], sum(e["observables"].entropy for e in entries), "two_sided", n
         ),
     }
-    paired = tests["epr_paired_greater"]
-    extras = {"epr_paired_p": paired.p_value} if isinstance(paired, TestResult) else {}
-    return tests, {}, extras
+    return tests, {}, {"epr_sum_p": tests["epr_sum_greater"]["p_value"]}
 
 
 def run_minimax(config: AnalysisConfig) -> dict:
     """Test the independent-randomization prediction: per-treatment nulls on
-    entropy and EPR, plus across-treatment paired comparisons."""
+    entropy and EPR, plus across-treatment tests of their sums."""
     if not is_square_2x2(config.space):
         raise ConfigError(
             "minimax-test needs the 4-state square space "
             "(index = 2*row_action + col_action)"
         )
-    _check_null_fits_memory(config)
-    return _run(config, "minimax-test", _minimax_treatment, _minimax_across)
+    # entropy and EPR per chunk, once concatenated, and as running sums
+    _check_null_fits_memory(config, 6)
+    null_sums = np.zeros((2, config.mc_reps))
+    return _run(
+        config,
+        "minimax-test",
+        functools.partial(_minimax_treatment, null_sums=null_sums),
+        functools.partial(_minimax_across, null_sums=null_sums),
+    )
 
 
 def _cycle_treatment(config: AnalysisConfig, idx: int, data: TreatmentDataset) -> dict:
@@ -292,7 +296,7 @@ def _cycle_treatment(config: AnalysisConfig, idx: int, data: TreatmentDataset) -
     )
     constraints = {"dos": est.dos.tolist(), "n_rounds": est.n_observations}
     baseline = _baseline_summary("epr", samples, config, seed, constraints)
-    mc_p = _mc_exceedance_p(samples, epr_value)
+    mc_p = mc_p_value(samples, epr_value, "greater")
     is_detected = mc_p < config.alpha
     _progress(
         f"treatment {data.treatment_id}: epr={epr_value:.4f} "
@@ -320,7 +324,8 @@ def _cycle_across(entries: list[dict]) -> tuple[dict, dict, dict]:
 def run_cycle_test(config: AnalysisConfig) -> dict:
     """Detect persistent cycling: empirical EPR against the i.i.d.-DOS
     finite-sample baseline, per treatment."""
-    _check_null_fits_memory(config)
+    # entropy and EPR per chunk and once concatenated
+    _check_null_fits_memory(config, 4)
     # detection is mc_p < alpha and mc_p >= 1/(reps+1)
     if config.alpha <= 1.0 / (config.mc_reps + 1):
         _progress(

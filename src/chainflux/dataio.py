@@ -775,7 +775,7 @@ def write_report(
     """Write the analysis document as one JSON file.
 
     reports: per-treatment entries (dicts, see the README schema).
-    tests:   mapping name -> across-treatment TestResult or dict.
+    tests:   mapping name -> across-treatment test (a dict or dataclass).
     fits:    mapping name -> OlsFit or dict.
     Any dataclass in them is written as its fields (dataclasses.asdict),
     with arrays as lists; none is dispatched on by type. Pass a summary of a

@@ -42,10 +42,6 @@ class InvalidDistributionError(ChainfluxError):
     """A probability vector or transition row fails normalization."""
 
 
-class ZeroVarianceError(ChainfluxError):
-    """All samples identical but different from the reference value."""
-
-
 class LengthMismatchError(ChainfluxError):
     """Paired inputs have different lengths."""
 
