@@ -31,10 +31,10 @@ from .nullmodels import (
     cycle_transition,
     dos_baseline,
     simulate_chain,
+    simulate_iid,
+    simulate_iid_bytes,
     simulate_sessions,
     simulate_sessions_bytes,
-    simulate_vnm,
-    simulate_vnm_bytes,
     vnm_null_distribution,
 )
 from .observables import (
@@ -72,10 +72,10 @@ __all__ = [
     "VnmParams",
     "cycle_transition",
     "simulate_chain",
+    "simulate_iid",
+    "simulate_iid_bytes",
     "simulate_sessions",
     "simulate_sessions_bytes",
-    "simulate_vnm",
-    "simulate_vnm_bytes",
     "vnm_null_distribution",
     "dos_baseline",
     "OlsFit",

@@ -1,4 +1,4 @@
-"""Monte-Carlo null models and the synthetic-chain simulator.
+"""Monte-Carlo null models and the synthetic-data generators.
 
 Two nulls, one kernel: each replicate draws every record i.i.d. from a DOS,
 cut into sessions like a dataset's, and estimates its chain. The i.i.d.
@@ -25,15 +25,17 @@ block), and each group's chains and observables are evaluated in one
 batched call.
 
 A uniform u maps to the state that counts the cumulative-probability cuts
-at or below it (_cuts). The nulls compare whole blocks against the cuts.
-A chain's next row depends on its current state, so simulate_chain walks
-one chain with one bisect per step over plain Python lists.
-simulate_sessions samples many sessions, each a lane with its own
-stream. From _LOCKSTEP_LANES lanes on, and on at most _LOCKSTEP_STATES
-states, it walks them in lockstep: one numpy step per round gathers every
-lane's current row of cuts and counts the cuts at or below the lane's
-uniform. Otherwise it walks each session with bisect. Distributions must
-be finite, nonnegative and normalized before any draw.
+at or below it (_cuts). The nulls compare whole blocks against the cuts,
+and so does simulate_iid, which draws i.i.d. sessions as the nulls draw
+replicates: session k of seed s draws from s.split(k). A chain's next row
+depends on its current state, so simulate_chain walks one chain with one
+bisect per step over plain Python lists. simulate_sessions samples many
+sessions, each a lane with its own stream. From _LOCKSTEP_LANES lanes on,
+and on at most _LOCKSTEP_STATES states, it walks them in lockstep: one
+numpy step per round gathers every lane's current row of cuts and counts
+the cuts at or below the lane's uniform. Otherwise it walks each session
+with bisect. Distributions must be finite, nonnegative and normalized
+before any draw.
 """
 
 from __future__ import annotations
@@ -56,10 +58,10 @@ __all__ = [
     "SQUARE_CYCLE_ORDER",
     "cycle_transition",
     "simulate_chain",
+    "simulate_iid",
+    "simulate_iid_bytes",
     "simulate_sessions",
     "simulate_sessions_bytes",
-    "simulate_vnm",
-    "simulate_vnm_bytes",
     "vnm_null_distribution",
     "dos_baseline",
 ]
@@ -163,6 +165,17 @@ class VnmParams:
             raise ValueError("sessions must be >= 1")
         if self.rounds_per_session < 2:
             raise ValueError("rounds_per_session must be >= 2")
+
+    @property
+    def dos(self) -> np.ndarray:
+        """The product DOS P(row) P(col) of independent play on the
+        canonical square space (core.action_state)."""
+        actions = np.arange(2)
+        dos = np.zeros(4)
+        dos[action_state(actions[:, None], actions)] = np.outer(
+            [1 - self.p, self.p], [1 - self.q, self.q]
+        )
+        return dos
 
 
 def _check_distribution(vec: np.ndarray, what: str) -> None:
@@ -319,6 +332,7 @@ def simulate_sessions(
         t_cuts0, t_cuts = cuts0[t].tolist(), cuts[t].tolist()
         for s, row in enumerate(u[t]):
             states[t, s] = _bisect_walk(t_cuts0, t_cuts, row)
+        del t_cuts  # so that two treatments' cuts are never held as lists at once
     return states
 
 
@@ -341,44 +355,16 @@ def simulate_sessions_bytes(treatments: int, sessions: int, rounds: int, r: int)
     return held + 32 * r * r + rounds * (8 + 32 + 36)
 
 
-def simulate_vnm_bytes(treatments: int, sessions: int, rounds: int) -> int:
-    """Bytes held at the peak of drawing `treatments` simulate_vnm states
-    one after another and keeping each as a dataset: the states of every
-    earlier treatment; for the one being drawn, two float64 uniforms and
-    three one-byte masks per state; 256 bytes of Python objects per session
-    and 64 KiB for the stream."""
-    per_treatment = sessions * rounds
-    return (
-        state_dtype(4).itemsize * (treatments - 1) * per_treatment
-        + (16 + 3) * per_treatment
-        + 256 * treatments * sessions
-        + 2**16
-    )
-
-
-def simulate_vnm(params: VnmParams, seed: Seed) -> np.ndarray:
-    """Sample independent mixed-strategy play on the 4-state square space:
-    the uint8 states, shape (sessions, rounds_per_session), of params.
-
-    Every round draws row_action ~ Bernoulli(p) and col_action ~ Bernoulli(q)
-    independently; the joint state is core.action_state(row_action,
-    col_action). Each session draws its row actions, then its column
-    actions. Session count and rounds per session come from params, so
-    the sample size matches the treatment the null is built for.
-    """
-    shape = (params.sessions, 2, params.rounds_per_session)
-    u = seed.generator().random(shape)
-    return action_state(u[:, 0] < params.p, u[:, 1] < params.q)
-
-
 def _uniforms(seed: Seed):
     """uniforms(lo, hi, n): row k - lo holds the first n uniforms of
     replicate k's stream, seed.split(k).generator().
 
     Replicate keys, seed.split(k).root, come from vectorized splitmix64
-    passes (_split_roots). Each pass covers as many calls of the current
-    size as fit in _KEYS_PER_PASS replicates, so the pass's fixed cost is
-    shared even when a block holds a single long replicate. One Philox
+    passes (_split_roots). The first pass covers the first call only, so a
+    stream read once (simulate_iid's, simulate_sessions') makes no key it
+    does not use. Each later pass covers as many calls of the current size
+    as fit in _KEYS_PER_PASS replicates, so the pass's fixed cost is shared
+    even when a block holds a single long replicate. One Philox
     serves every call: it is re-keyed per replicate through its state
     setter, which gives the same stream without the OS-entropy draw that
     constructing a bit generator makes. The state dict holds plain lists,
@@ -397,7 +383,7 @@ def _uniforms(seed: Seed):
     def uniforms(lo: int, hi: int, n: int) -> np.ndarray:
         nonlocal keys_lo, keys
         if lo < keys_lo or hi > keys_lo + len(keys):
-            size = (hi - lo) * max(1, _KEYS_PER_PASS // (hi - lo))
+            size = (hi - lo) * (max(1, _KEYS_PER_PASS // (hi - lo)) if keys else 1)
             keys_lo, keys = lo, _split_roots(seed.root, lo, lo + size).tolist()
         u = np.empty((hi - lo, n))
         for row, root in enumerate(keys[lo - keys_lo : hi - keys_lo]):
@@ -417,6 +403,33 @@ def _iid_states(u: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     for cut in cuts:
         states += u >= cut
     return states
+
+
+def simulate_iid(dos, sessions: int, rounds: int, seed: Seed) -> np.ndarray:
+    """Sample `sessions` sessions of `rounds` i.i.d. states from dos with
+    the nulls' draw: session s maps the uniforms of seed.split(s) to states.
+    Returns the states, shape (sessions, rounds); states[s] equals
+    simulate_chain(dos, np.tile(dos, (r, 1)), rounds, seed.split(s)).
+
+    Raises:
+        InvalidDistributionError: dos fails normalization beyond 1e-9.
+    """
+    dos = np.asarray(dos, dtype=float)
+    _check_distribution(dos, "dos")
+    if sessions < 1 or rounds < 2:
+        raise ValueError("sessions must be >= 1 and rounds >= 2")
+    return _iid_states(_uniforms(seed)(0, sessions, rounds), _cuts(dos))
+
+
+def simulate_iid_bytes(treatments: int, sessions: int, rounds: int, r: int) -> int:
+    """Bytes held at the peak of drawing `treatments` simulate_iid states
+    one after another and keeping each: every treatment's states, each with
+    a 160-byte array object; for the one being drawn, its float64 uniforms
+    and a one-byte mask per state, 96 bytes of stream keys per session and
+    64 KiB for the stream."""
+    itemsize = state_dtype(r).itemsize
+    per_treatment = itemsize * sessions * rounds + 160
+    return treatments * per_treatment + 9 * sessions * rounds + 96 * sessions + 2**16
 
 
 def _null_chunk(
@@ -521,14 +534,9 @@ def vnm_null_distribution(
     `reps` each, in replicate order. `workers` is capped at the number of
     CPUs the process may use.
     """
-    actions = np.arange(2)
-    dos = np.zeros(4)
-    dos[action_state(actions[:, None], actions)] = np.outer(
-        [1 - params.p, params.p], [1 - params.q, params.q]
-    )
     rounds = params.rounds_per_session
     ends = np.arange(rounds - 1, params.sessions * rounds, rounds)
-    return _run_chunks(dos, ends, reps, policy, seed, workers)
+    return _run_chunks(params.dos, ends, reps, policy, seed, workers)
 
 
 def dos_baseline(

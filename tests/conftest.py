@@ -19,6 +19,7 @@ from chainflux import (
     square_2x2,
     triangle_3,
 )
+from chainflux.core import action_state
 from chainflux.nullmodels import SQUARE_CYCLE_ORDER, cycle_transition
 
 RING_TRANSITION = np.array(
@@ -44,6 +45,14 @@ def make_dataset(sessions, space=None, treatment_id="t") -> TreatmentDataset:
 def sessions_of(data: TreatmentDataset) -> list[tuple[str, np.ndarray]]:
     """(session_id, states) of each session of a dataset, in order."""
     return list(zip(data.session_ids, np.split(data.states, data.offsets[1:-1])))
+
+
+def independent_play(params, seed) -> np.ndarray:
+    """Reference sampler of independent play, the (sessions, rounds) states
+    of VnmParams params: each session draws its row actions, then its
+    column actions, from seed.generator()."""
+    u = seed.generator().random((params.sessions, 2, params.rounds_per_session))
+    return action_state(u[:, 0] < params.p, u[:, 1] < params.q)
 
 
 def ring_estimate() -> MarkovEstimate:

@@ -24,7 +24,6 @@ from chainflux import (
     motion,
     ols_fit,
     simulate_chain,
-    simulate_vnm,
     square_2x2,
     triangle_3,
     vnm_null_distribution,
@@ -36,6 +35,7 @@ from chainflux.dataio import write_csv
 from conftest import (
     RING_EPR,
     RING_TRANSITION,
+    independent_play,
     reversible_estimate,
     ring_estimate,
     square_cycle_estimate,
@@ -186,7 +186,7 @@ def _minimax_sum_p(run_seed: Seed, data_seed: Seed, reps: int):
     datasets = []
     for idx, (p, q) in enumerate(_PQ_GRID):
         params = VnmParams(p=p, q=q, sessions=2, rounds_per_session=150)
-        states = simulate_vnm(params, data_seed.split(idx))
+        states = independent_play(params, data_seed.split(idx))
         data = TreatmentDataset.from_rows(f"T{idx + 1:02d}", space, states)
         datasets.append(data)
         est = estimate_markov(data)

@@ -18,7 +18,6 @@ from chainflux import (
     TreatmentDataset,
     VnmParams,
     nullmodels,
-    simulate_vnm,
     square_2x2,
 )
 from chainflux.cli import (
@@ -28,7 +27,7 @@ from chainflux.cli import (
     _minimax_treatment,
     main,
 )
-from conftest import RING_EPR, fill_disk
+from conftest import RING_EPR, fill_disk, independent_play
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -83,6 +82,15 @@ class TestSimulate:
         c = simulate(capsys, tmp_path, "c.csv",
                      "--model", "vnm", "--rounds", "50", "--seed", "13")
         assert a.read_bytes() != c.read_bytes()
+
+    def test_vnm_is_iid_with_the_product_dos(self, capsys, tmp_path):
+        # (1 - p)(1 - q), (1 - p) q, p (1 - q) and p q are exact in binary
+        common = ("--treatments", "2", "--sessions", "3", "--rounds", "40", "--seed", "3")
+        vnm = simulate(capsys, tmp_path, "vnm.csv",
+                       "--model", "vnm", "--p", "0.75", "--q", "0.5", *common)
+        iid = simulate(capsys, tmp_path, "iid.csv",
+                       "--model", "iid", "--dos", "0.125,0.125,0.375,0.375", *common)
+        assert vnm.read_bytes() == iid.read_bytes()
 
     def test_vnm_marginals_within_binomial_bounds(self, capsys, tmp_path):
         path = simulate(
@@ -197,10 +205,10 @@ class TestSimulate:
         "args, message",
         [
             (("--model", "iid", "--dos", "nan,0.5,0.25,0.25"),
-             "dos0 must be finite, nonnegative and sum to 1 within 1e-09; "
+             "dos must be finite, nonnegative and sum to 1 within 1e-09; "
              "got sum nan"),
             (("--model", "iid", "--dos", "0.5,inf,0.25,0.25"),
-             "dos0 must be finite, nonnegative and sum to 1 within 1e-09; "
+             "dos must be finite, nonnegative and sum to 1 within 1e-09; "
              "got sum inf"),
             (("--model", "square-cycle", "--forward", "nan"),
              "forward + backward must be <= 1 and nonnegative "
@@ -272,7 +280,7 @@ class TestSimulate:
         assert code == 1
         assert summary is None
         assert err == (
-            "error: simulate_vnm needs the canonical 4-state square space "
+            "error: --model vnm needs the canonical 4-state square space "
             "(index = 2*row_action + col_action)\n"
         )
         assert not out.exists()
@@ -711,7 +719,7 @@ class TestPerTreatmentSize:
             ),
             (_minimax_treatment,
              lambda s: TreatmentDataset.from_rows(
-                 "vnm", square_2x2(), simulate_vnm(VnmParams(0.4, 0.6, 16, 12), s)
+                 "vnm", square_2x2(), independent_play(VnmParams(0.4, 0.6, 16, 12), s)
              ),
              ("epr_mc_p", "entropy_mc_p"), 73001),
         ],
@@ -764,7 +772,7 @@ class TestAcrossTreatmentSize:
             entries = [
                 _minimax_treatment(config, t, TreatmentDataset.from_rows(
                     f"T{t}", square_2x2(),
-                    simulate_vnm(params, data_root.split(run).split(t)),
+                    independent_play(params, data_root.split(run).split(t)),
                 ), null_sums)
                 for t in range(treatments)
             ]
@@ -988,16 +996,16 @@ class TestExitCodesAndDeterminism:
         # 3 treatments x 2 sessions x 10 rounds on 4 states: 480 B of
         # uniforms, 60 B of uint8 states, 160 B of one treatment's uniforms
         # while they are drawn, 768 B of transitions and cuts, 512 B of cuts
-        # and 760 B of one session as Python objects, and 64 KiB for the
-        # stream = 68276 B
-        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 68276}
+        # and 760 B of one session as Python objects, 64 KiB for the stream,
+        # and 3 x (1024 + 2 x 96) B of dataset objects = 71924 B
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 71924}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
         args = ("--model", "square-cycle", "--drive-sweep", "0.5,0.6,0.7",
                 "--sessions", "2", "--rounds", "10")
         out = tmp_path / "x.csv"
         code, _, _ = run_cli(capsys, "simulate", "--output", str(out), *args)
         assert code == 0 and out.exists()
-        pages["SC_PHYS_PAGES"] = 68275
+        pages["SC_PHYS_PAGES"] = 71923
         out = tmp_path / "y.csv"
         code, _, err = run_cli(capsys, "simulate", "--output", str(out), *args)
         assert code == 1 and not out.exists()
@@ -1006,18 +1014,18 @@ class TestExitCodesAndDeterminism:
     def test_vnm_memory_check_counts_uniforms_and_masks(
         self, capsys, monkeypatch, tmp_path
     ):
-        # 3 treatments x 2 sessions x 10 rounds: 40 B of the two earlier
-        # treatments' uint8 states, 380 B of uniforms and masks for the one
-        # being drawn, 1536 B of session objects and 64 KiB for the stream
-        # = 67492 B
-        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 67492}
+        # 3 treatments x 2 sessions x 10 rounds: 60 B of uint8 states and
+        # 3 x 160 B of their array objects, 180 B of uniforms and masks for
+        # the treatment being drawn, 192 B of its stream keys, 64 KiB for
+        # the stream, and 3 x (1024 + 2 x 96) B of dataset objects = 70096 B
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 70096}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
         args = ("--model", "vnm", "--treatments", "3", "--sessions", "2",
                 "--rounds", "10")
         out = tmp_path / "x.csv"
         code, _, _ = run_cli(capsys, "simulate", "--output", str(out), *args)
         assert code == 0 and out.exists()
-        pages["SC_PHYS_PAGES"] = 67491
+        pages["SC_PHYS_PAGES"] = 70095
         out = tmp_path / "y.csv"
         code, _, err = run_cli(capsys, "simulate", "--output", str(out), *args)
         assert code == 1 and not out.exists()
@@ -1304,9 +1312,9 @@ class TestGoldenReports:
         [
             (
                 "analyze", "vnm", (),
-                "61988b9e88bb3866a42db996044354582fdbed2d74fef3ca90f9b4ebd7e371e7",
+                "53d5e6fcb7b0bc5a30e073828a01fb9c7997f996ab32930c368a95bd1fea05e0",
                 {"command": "analyze", "treatments": 3},
-                "4afbc0df49e167967e65371bffd25e1516aef77ead8f6ccd8a427508f4338fc0",
+                "adb7f3004ed83af8cffc799fd7f91a5162d9164a8c5139c40830fd7e426d7126",
             ),
             (
                 "cycle-test", "sweep", ("--reps", "200", "--alpha", "0.01"),
@@ -1317,10 +1325,10 @@ class TestGoldenReports:
             ),
             (
                 "minimax-test", "vnm", ("--reps", "100"),
-                "15b0cb5ed10dbd61fa052204c926ba891a6fa468a5fd47f842980bcf20906cbf",
-                {"command": "minimax-test", "epr_sum_p": 0.594059405940594,
+                "962a0c4ff36285eaf50c1098a64940c6e60e3b62d307797c909d827feec06b2c",
+                {"command": "minimax-test", "epr_sum_p": 0.45544554455445546,
                  "treatments": 3},
-                "6d4a36b07644b956dbf34c9e785a7b2c7f6d818cc57d03afd164e8b58f3d6ac3",
+                "8484a81990a8d8d41fe6185b852813ded9ae71607b1e268f21fd25a710c75031",
             ),
             (
                 "motion-fit", "sweep", (),
@@ -1363,9 +1371,9 @@ class TestGoldenSimulate:
         "model, encoding, csv_sha",
         [
             ("vnm", "state",
-             "54e4a0e07d699560b356423fdd299c7fe4728669c647b421f529e54ec2f3e78a"),
+             "71b9cd75cbb84308234cf2f99029a59e48e71ba1e0f4774686c7354637369e18"),
             ("vnm", "actions",
-             "79a1e2c3340994790c1e69f7402104a9cc5f8224467662a6b1826117a3f7c135"),
+             "b9f121359c53995e9d69e136c0e29c3142aa40966a5c5de4678347a4bafb4a9b"),
             ("ring", "state",
              "2bab552e58907d0e5be9c08fd00350c9f3c4390a9ee1d56280c908f5f6571619"),
             ("sweep", "state",

@@ -22,8 +22,8 @@ from chainflux import (
     load_space,
     nullmodels,
     simulate_chain,
+    simulate_iid,
     simulate_sessions,
-    simulate_vnm,
     square_2x2,
     stationarity_diagnostic,
     write_csv,
@@ -36,7 +36,7 @@ from chainflux.errors import (
     StateOutOfRangeError,
 )
 
-from conftest import sessions_of
+from conftest import independent_play, sessions_of
 
 
 def space_of(r: int) -> StateSpace:
@@ -356,9 +356,10 @@ def test_every_producer_holds_states_as_state_dtype(tmp_path, r):
         *(d.states for d in (by_sessions, by_rows, *loaded)),
         simulate_chain(dos0, chain, 20, Seed(1)),
         simulate_sessions([dos0], [chain], 2, 20, Seed(1)),
+        simulate_iid(dos0, 2, 20, Seed(1)),
     ]
     if r <= nullmodels._LOCKSTEP_STATES:
         lanes = nullmodels._LOCKSTEP_LANES
         produced.append(simulate_sessions([dos0], [chain], lanes, 3, Seed(1)))
-        produced.append(simulate_vnm(VnmParams(0.3, 0.6, 2, 5), Seed(1)))
+        produced.append(independent_play(VnmParams(0.3, 0.6, 2, 5), Seed(1)))
     assert [states.dtype for states in produced] == [want] * len(produced)

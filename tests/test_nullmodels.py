@@ -28,13 +28,13 @@ from chainflux import (
     epr,
     estimate_markov,
     simulate_chain,
-    simulate_vnm,
+    simulate_iid,
     square_2x2,
     vnm_null_distribution,
 )
 from chainflux.errors import InvalidDistributionError, OneSidedZeroFluxError
 
-from conftest import RING_TRANSITION
+from conftest import RING_TRANSITION, independent_play
 
 SKIP = ZeroFluxPolicy.skip()
 SMOOTH = ZeroFluxPolicy.smooth(1e-6)
@@ -68,6 +68,12 @@ def product_dos(p, q):
     """The independent-play DOS on the square: state 2*row + col has
     probability P(row) P(col)."""
     return [(1 - p) * (1 - q), (1 - p) * q, p * (1 - q), p * q]
+
+
+def draw_vnm(params, seed):
+    """One treatment of `simulate --model vnm`: simulate_iid of params'
+    product DOS."""
+    return simulate_iid(params.dos, params.sessions, params.rounds_per_session, seed)
 
 
 def _sparse_dos(r):
@@ -253,17 +259,21 @@ class TestCycleTransition:
 
 
 class TestSimulateVnm:
+    @pytest.mark.parametrize("p, q", [(0.4, 0.6), (0.1, 0.75), (1.0, 0.0)])
+    def test_dos_is_the_product_dos(self, p, q):
+        assert VnmParams(p, q, 1, 2).dos.tolist() == product_dos(p, q)
+
     def test_degenerate_probabilities(self):
         params = VnmParams(p=1.0, q=1.0, sessions=2, rounds_per_session=50)
-        assert np.all(simulate_vnm(params, Seed(3)) == 3)
+        assert np.all(draw_vnm(params, Seed(3)) == 3)
 
     def test_zero_probabilities(self):
         params = VnmParams(p=0.0, q=0.0, sessions=1, rounds_per_session=30)
-        assert np.all(simulate_vnm(params, Seed(3)) == 0)
+        assert np.all(draw_vnm(params, Seed(3)) == 0)
 
     def test_shape_matches_params(self):
         params = VnmParams(p=0.4, q=0.6, sessions=3, rounds_per_session=20)
-        states = simulate_vnm(params, Seed(12))
+        states = draw_vnm(params, Seed(12))
         assert states.shape == (3, 20)
         assert states.dtype == np.uint8
 
@@ -277,7 +287,7 @@ class TestSimulateVnm:
 
     def test_half_half_transition_converges_to_quarter(self):
         params = VnmParams(p=0.5, q=0.5, sessions=1, rounds_per_session=1_000_000)
-        states = simulate_vnm(params, Seed(2025))
+        states = draw_vnm(params, Seed(2025))
         est = estimate_markov(TreatmentDataset.from_rows("vnm", square_2x2(), states))
         assert np.all(np.abs(est.transition - 0.25) < 0.005)
 
@@ -291,7 +301,7 @@ class TestSimulateVnm:
 
     def test_marginal_frequency_matches_p(self):
         params = VnmParams(p=0.7, q=0.3, sessions=2, rounds_per_session=5000)
-        states = simulate_vnm(params, Seed(55))
+        states = draw_vnm(params, Seed(55))
         p_hat = float(np.mean(states // 2))
         q_hat = float(np.mean(states % 2))
         n = states.size
@@ -302,7 +312,7 @@ class TestSimulateVnm:
         params = VnmParams(p=0.6, q=0.45, sessions=1, rounds_per_session=300)
         root = Seed(314159)
         pooled = np.concatenate([
-            simulate_vnm(params, root.split(k)).ravel()
+            draw_vnm(params, root.split(k)).ravel()
             for k in range(60)
         ])
         n = pooled.size
@@ -356,14 +366,14 @@ class TestVnmNullDistribution:
         assert np.array_equal(pro, baseline)
 
     def test_same_law_as_simulate_vnm_datasets(self):
-        # simulate_vnm draws each session's row actions, then its column
-        # actions: two uniforms per record against the null's one
+        # the reference sampler draws each session's row actions, then its
+        # column actions: two uniforms per record against the null's one
         params = VnmParams(p=0.4, q=0.6, sessions=4, rounds_per_session=100)
         ent, pro = vnm_null_distribution(params, 2000, SKIP, Seed(2101))
         space = square_2x2()
         drawn_ent, drawn_pro = [], []
         for k in range(2000):
-            states = simulate_vnm(params, Seed(2102).split(k))
+            states = independent_play(params, Seed(2102).split(k))
             data = TreatmentDataset.from_sessions(
                 "vnm", space, {f"s{s + 1}": row for s, row in enumerate(states)}
             )

@@ -48,7 +48,6 @@ def test_cli_imports_every_traced_layer(layers):
         "core.stationarity_diagnostic",
         "observables.full_report",
         "observables.epr",
-        "nullmodels.simulate_vnm",
     } <= names
 
 

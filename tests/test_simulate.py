@@ -17,17 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chainflux.dataio as dataio
-from chainflux import nullmodels
+from chainflux import cli, nullmodels
 from chainflux import (
     Seed,
     StateSpace,
     TreatmentDataset,
     VnmParams,
     simulate_chain,
+    simulate_iid,
+    simulate_iid_bytes,
     simulate_sessions,
     simulate_sessions_bytes,
-    simulate_vnm,
-    simulate_vnm_bytes,
     square_2x2,
     write_csv,
 )
@@ -175,6 +175,33 @@ def test_simulate_sessions_point_masses_match_loop(sessions):
             assert np.array_equal(states[t, s], reference)
 
 
+def traced_peak(fn, *args, **kwargs) -> int:
+    """The peak of the memory tracemalloc traces while fn(*args, **kwargs) runs.
+    A draw is made first, so that the modules numpy.random imports on first
+    use (about 1 MB, once per process) stay out of the peak."""
+    simulate_iid([1.0], 1, 2, Seed(0))
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def assert_simulate_bytes_bound_traced_peak(model, treatments, sessions, rounds, r):
+    """The bytes simulate checks bound the traced peak of the whole
+    _simulate_datasets call: the draw and every dataset it makes."""
+    space = square_2x2() if model in ("vnm", "square-cycle") else space_of(r)
+    options = cli._MODEL_OPTIONS[model]
+    if model == "iid":
+        options = {"dos": np.full(r, 1 / r)}
+    peak = traced_peak(
+        cli._simulate_datasets, model, space, Seed(5), options,
+        treatments=treatments, sessions=sessions, rounds=rounds,
+    )
+    assert peak <= cli._simulate_bytes(model, treatments, sessions, rounds, r)
+
+
 @pytest.mark.parametrize(
     "treatments, sessions, rounds, r",
     [(2, 3, 20000, 300), (1, 1, 50000, 4), (1, 5000, 2, 300), (8, 25, 2000, 4),
@@ -186,13 +213,11 @@ def test_simulate_sessions_bytes_bounds_traced_peak(treatments, sessions, rounds
     rng = np.random.default_rng(r)
     transitions = np.array([random_chain(rng, r)[1] for _ in range(treatments)])
     dos0 = np.full((treatments, r), 1 / r)
-    tracemalloc.start()
-    try:
-        simulate_sessions(dos0, transitions, sessions, rounds, Seed(3))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(simulate_sessions, dos0, transitions, sessions, rounds, Seed(3))
     assert peak <= simulate_sessions_bytes(treatments, sessions, rounds, r)
+    # square-cycle runs on the square, ring on any space
+    model = "square-cycle" if r == 4 else "ring"
+    assert_simulate_bytes_bound_traced_peak(model, treatments, sessions, rounds, r)
 
 
 @pytest.mark.parametrize(
@@ -201,21 +226,57 @@ def test_simulate_sessions_bytes_bounds_traced_peak(treatments, sessions, rounds
      (2, 1000, 50)],
 )
 def test_simulate_vnm_bytes_bounds_traced_peak(treatments, sessions, rounds):
-    params = VnmParams(p=0.4, q=0.6, sessions=sessions, rounds_per_session=rounds)
-    tracemalloc.start()
-    try:
-        # what simulate --model vnm holds: every dataset, drawn in turn
-        datasets = [
-            TreatmentDataset.from_rows(
-                f"T{t + 1:02d}", square_2x2(), simulate_vnm(params, Seed(5).split(t))
-            )
-            for t in range(treatments)
+    # the i.i.d. models, vnm and iid, draw one treatment at a time
+    dos = VnmParams(p=0.4, q=0.6, sessions=sessions, rounds_per_session=rounds).dos
+
+    def keep_each_treatment():
+        return [
+            simulate_iid(dos, sessions, rounds, Seed(5).split(t)) for t in range(treatments)
         ]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(datasets) == treatments
-    assert peak <= simulate_vnm_bytes(treatments, sessions, rounds)
+
+    peak = traced_peak(keep_each_treatment)
+    assert peak <= simulate_iid_bytes(treatments, sessions, rounds, 4)
+    for model in ("vnm", "iid"):
+        assert_simulate_bytes_bound_traced_peak(model, treatments, sessions, rounds, 4)
+
+
+@pytest.mark.parametrize("model", ["vnm", "iid", "ring", "square-cycle"])
+def test_simulate_bytes_bound_traced_peak_of_many_short_treatments(model):
+    # each dataset's Python objects outweigh its two states many times over
+    assert_simulate_bytes_bound_traced_peak(model, 20000, 1, 2, 3 if model == "ring" else 4)
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_simulate_iid_matches_simulate_sessions(case):
+    # a tiled DOS is a chain whose every row is the DOS: the same states,
+    # in the same type, whether drawn i.i.d. or walked
+    rng = np.random.default_rng(7100 + case)
+    r = int(rng.integers(2, 81))
+    dos = rng.random(r) * (rng.random(r) < 0.6)
+    dos[rng.integers(0, r)] += 0.1
+    dos /= dos.sum()
+    treatments = int(rng.integers(1, 4))
+    lanes = nullmodels._LOCKSTEP_LANES
+    sessions = int(rng.choice([1, lanes // 3, lanes - 1, lanes, lanes + 5]))
+    rounds = int(rng.integers(2, 40))
+    seed = Seed(int(rng.integers(0, 2**63)))
+    walked = simulate_sessions(
+        np.tile(dos, (treatments, 1)), np.tile(dos, (treatments, r, 1)),
+        sessions, rounds, seed,
+    )
+    for t in range(treatments):
+        drawn = simulate_iid(dos, sessions, rounds, seed.split(t))
+        assert drawn.dtype == walked.dtype == state_dtype(r)
+        assert np.array_equal(drawn, walked[t]), t
+
+
+def test_simulate_iid_rejects_bad_arguments():
+    with pytest.raises(InvalidDistributionError, match="dos"):
+        simulate_iid([0.5, 0.6], 2, 10, Seed(0))
+    with pytest.raises(ValueError, match="sessions"):
+        simulate_iid([0.5, 0.5], 0, 10, Seed(0))
+    with pytest.raises(ValueError, match="rounds"):
+        simulate_iid([0.5, 0.5], 2, 1, Seed(0))
 
 
 def test_simulate_sessions_rejects_bad_distributions():
