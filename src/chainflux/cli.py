@@ -403,9 +403,7 @@ def _simulate_datasets(
             raise ConfigError("--dos is required for the iid model")
         elif len(dos) != r:
             raise ConfigError(f"--dos has {len(dos)} entries but the space has r={r}")
-        # lazily, so that each treatment's states are drawn as its dataset is made
-        states = (simulate_iid(dos, sessions, rounds, seed.split(t))
-                  for t in range(treatments))
+        states = simulate_iid(np.tile(dos, (treatments, 1)), sessions, rounds, seed)
     else:
         order = SQUARE_CYCLE_ORDER if model == "square-cycle" else range(r)
         transitions = np.empty((treatments, r, r))

@@ -8,10 +8,10 @@ prediction for 2x2 games) draws independent row and column actions with
 fixed marginals, so its state is i.i.d. with their product DOS; it plays
 equal-length sessions. Replicate k of seed s draws one uniform per record
 from Philox keyed by s.split(k).root, so results are identical under any
-execution order, chunking, or number of worker processes. The keys of up to
-_KEYS_PER_PASS consecutive replicates come from one uint64 splitmix64 pass
-over their indices, bit-equal to Seed.split, and one Philox is re-keyed to
-each in turn; Seed.split and Seed.generator stay the definition of the
+execution order, chunking, or number of worker processes. _split_roots
+gives Seed.split's roots in one uint64 splitmix64 pass, for a range of
+indices and an array of roots alike, and one Philox is re-keyed to each
+(_uniforms); Seed.split and Seed.generator stay the definition of the
 stream.
 
 Replicates are drawn in blocks of B replicates: one (B, n) array of at
@@ -27,15 +27,15 @@ batched call.
 A uniform u maps to the state that counts the cumulative-probability cuts
 at or below it (_cuts). The nulls compare whole blocks against the cuts,
 and so does simulate_iid, which draws i.i.d. sessions as the nulls draw
-replicates: session k of seed s draws from s.split(k). A chain's next row
-depends on its current state, so simulate_chain walks one chain with one
-bisect per step over plain Python lists. simulate_sessions samples many
-sessions, each a lane with its own stream. From _LOCKSTEP_LANES lanes on,
-and on at most _LOCKSTEP_STATES states, it walks them in lockstep: one
-numpy step per round gathers every lane's current row of cuts and counts
-the cuts at or below the lane's uniform. Otherwise it walks each session
-with bisect. Distributions must be finite, nonnegative and normalized
-before any draw.
+replicates: session s of treatment t draws from seed.split(t).split(s),
+as in simulate_sessions. A chain's next row depends on its current state,
+so simulate_chain walks one chain with one bisect per step over plain
+Python lists. simulate_sessions samples many sessions, each a lane with
+its own stream. From _LOCKSTEP_LANES lanes on, and on at most
+_LOCKSTEP_STATES states, it walks them in lockstep: one numpy step per
+round gathers every lane's current row of cuts and counts the cuts at or
+below the lane's uniform. Otherwise it walks each session with bisect.
+Distributions must be finite, nonnegative and normalized before any draw.
 """
 
 from __future__ import annotations
@@ -78,9 +78,6 @@ _BLOCK_CELLS = 2**20
 # Pair counts per evaluation group: enough replicates to amortize the fixed
 # cost of evaluating chains when blocks are small, little enough memory.
 _GROUP_CELLS = 2**12
-# Replicate keys per splitmix64 pass: enough to amortize the fixed cost of
-# the pass's numpy calls when each block holds one long replicate.
-_KEYS_PER_PASS = 2**9
 # simulate_sessions walks in lockstep from _LOCKSTEP_LANES lanes on, on at
 # most _LOCKSTEP_STATES states. A lockstep round costs a few numpy calls
 # whatever the lane count, and gathers r - 1 cuts per lane; a bisect step
@@ -115,11 +112,15 @@ def _splitmix64_array(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _split_roots(root: int, lo: int, hi: int) -> np.ndarray:
-    """Seed(root).split(k).root for every k in [lo, hi), in one pass. Like
-    the masked version, k and k + 2**64 give the same root."""
+def _split_roots(root, lo: int, hi: int) -> np.ndarray:
+    """Seed(x).split(k).root for every root x in `root`, an int or a uint64
+    array, and every k in [lo, hi), in one pass; the k run along a new last
+    axis. So _split_roots(_split_roots(x, 0, T), 0, S)[t, s] is
+    Seed(x).split(t).split(s).root. Like the masked version, k and
+    k + 2**64 give the same root."""
     k = np.arange(hi - lo, dtype=np.uint64) + np.uint64(lo)
-    return _splitmix64_array(_splitmix64_array(k) ^ np.uint64(root))
+    root = np.asarray(root, dtype=np.uint64)[..., None]
+    return _splitmix64_array(_splitmix64_array(k) ^ root)
 
 
 @dataclass(frozen=True)
@@ -178,16 +179,17 @@ class VnmParams:
         return dos
 
 
-def _check_distribution(vec: np.ndarray, what: str) -> None:
-    # NaN fails no comparison, so finiteness is checked on its own
-    if (
-        not np.isfinite(vec).all()
-        or vec.min() < 0.0
-        or abs(float(vec.sum()) - 1.0) > _NORM_TOL
-    ):
+def _check_distribution(dists: np.ndarray, what: str) -> None:
+    """Check each distribution along the last axis. The error names the
+    first bad one in C order; {i} in `what` is its index on the axis before."""
+    sums = dists.sum(axis=-1)
+    # written so that NaN and ±inf fail
+    bad = ~((dists >= 0.0).all(axis=-1) & (np.abs(sums - 1.0) <= _NORM_TOL))
+    if bad.any():
+        first = np.unravel_index(np.argmax(bad), bad.shape)
         raise InvalidDistributionError(
-            f"{what} must be finite, nonnegative and sum to 1 within {_NORM_TOL}; "
-            f"got sum {float(vec.sum())!r}"
+            f"{what.format(i=first[-1] if first else 0)} must be finite, nonnegative "
+            f"and sum to 1 within {_NORM_TOL}; got sum {float(sums[first])!r}"
         )
 
 
@@ -236,10 +238,8 @@ def _chain_cuts(dos0: np.ndarray, transition: np.ndarray):
     r = dos0.shape[-1]
     if transition.shape != (*dos0.shape, r):
         raise ValueError(f"transition shape {transition.shape} does not match r={r}")
-    for index in np.ndindex(dos0.shape[:-1]):
-        _check_distribution(dos0[index], "dos0")
-        for i, row in enumerate(transition[index]):
-            _check_distribution(row, f"transition row {i}")
+    _check_distribution(dos0, "dos0")
+    _check_distribution(transition, "transition row {i}")
     return _cuts(dos0), _cuts(transition)
 
 
@@ -320,10 +320,8 @@ def simulate_sessions(
         raise ValueError("rounds must be >= 2")
     cuts0, cuts = _chain_cuts(dos0, transitions)
     t_count = dos0.shape[0]
-    # row s of a treatment's _uniforms is the stream seed.split(t).split(s)
-    u = np.empty((t_count, sessions, rounds))
-    for t in range(t_count):
-        u[t] = _uniforms(seed.split(t))(0, sessions, rounds)
+    roots = _split_roots(_split_roots(seed.root, 0, t_count), 0, sessions)
+    u = _uniforms()(roots, rounds)
     if _walks_in_lockstep(t_count * sessions, dos0.shape[1]):
         states = _lockstep_walk(cuts0, cuts, u.reshape(-1, rounds))
         return states.reshape(u.shape)
@@ -338,15 +336,14 @@ def simulate_sessions(
 
 def simulate_sessions_bytes(treatments: int, sessions: int, rounds: int, r: int) -> int:
     """Bytes simulate_sessions holds at its peak for these sizes: every
-    lane's float64 uniforms and states, one treatment's uniforms while they
-    are drawn, the transitions and their cuts, 64 KiB for the stream's key
-    pass and Philox, plus one lockstep round's gathered cuts, masks and
-    indices, or one treatment's cuts and one session's uniforms and states
-    as Python objects."""
+    lane's float64 uniforms and states, the transitions and their cuts, 96
+    bytes of stream keys per lane and 64 KiB for the Philox, plus one
+    lockstep round's gathered cuts, masks and indices, or one treatment's
+    cuts and one session's uniforms and states as Python objects."""
     lanes = treatments * sessions
     held = (
         (8 + state_dtype(r).itemsize) * lanes * rounds
-        + 8 * sessions * rounds
+        + 96 * lanes
         + 16 * treatments * r * r
         + 2**16
     )
@@ -355,17 +352,11 @@ def simulate_sessions_bytes(treatments: int, sessions: int, rounds: int, r: int)
     return held + 32 * r * r + rounds * (8 + 32 + 36)
 
 
-def _uniforms(seed: Seed):
-    """uniforms(lo, hi, n): row k - lo holds the first n uniforms of
-    replicate k's stream, seed.split(k).generator().
+def _uniforms():
+    """uniforms(roots, n): the first n uniforms of Seed(root).generator()
+    for each root of a uint64 array, shape roots.shape + (n,).
 
-    Replicate keys, seed.split(k).root, come from vectorized splitmix64
-    passes (_split_roots). The first pass covers the first call only, so a
-    stream read once (simulate_iid's, simulate_sessions') makes no key it
-    does not use. Each later pass covers as many calls of the current size
-    as fit in _KEYS_PER_PASS replicates, so the pass's fixed cost is shared
-    even when a block holds a single long replicate. One Philox
-    serves every call: it is re-keyed per replicate through its state
+    One Philox serves every root: it is re-keyed per root through its state
     setter, which gives the same stream without the OS-entropy draw that
     constructing a bit generator makes. The state dict holds plain lists,
     which the setter reads faster than arrays. Roots are 64-bit, so
@@ -378,58 +369,60 @@ def _uniforms(seed: Seed):
     state["buffer"] = state["buffer"].tolist()
     key = state["state"]["key"]
     gen = np.random.Generator(bitgen)
-    keys_lo, keys = 0, []
 
-    def uniforms(lo: int, hi: int, n: int) -> np.ndarray:
-        nonlocal keys_lo, keys
-        if lo < keys_lo or hi > keys_lo + len(keys):
-            size = (hi - lo) * (max(1, _KEYS_PER_PASS // (hi - lo)) if keys else 1)
-            keys_lo, keys = lo, _split_roots(seed.root, lo, lo + size).tolist()
-        u = np.empty((hi - lo, n))
-        for row, root in enumerate(keys[lo - keys_lo : hi - keys_lo]):
+    def uniforms(roots: np.ndarray, n: int) -> np.ndarray:
+        u = np.empty((*roots.shape, n))
+        for row, root in zip(u.reshape(-1, n), roots.ravel().tolist()):
             key[0] = root
             bitgen.state = state
-            gen.random(out=u[row])
+            gen.random(out=row)
         return u
 
     return uniforms
 
 
-def _iid_states(u: np.ndarray, cuts: np.ndarray) -> np.ndarray:
-    """The state of each uniform: the number of cuts at or below it. The
-    null passes each block's uniforms straight in, so that they are freed
-    before the block's pairs are counted."""
-    states = np.zeros(u.shape, dtype=state_dtype(cuts.size + 1))
+def _iid_states(u: np.ndarray, cuts: np.ndarray, states=None) -> np.ndarray:
+    """The state of each uniform: the number of cuts at or below it, added
+    into `states` (zeros) if given. The null passes each block's uniforms
+    straight in, so that they are freed before its pairs are counted."""
+    if states is None:
+        states = np.zeros(u.shape, dtype=state_dtype(cuts.size + 1))
     for cut in cuts:
         states += u >= cut
     return states
 
 
 def simulate_iid(dos, sessions: int, rounds: int, seed: Seed) -> np.ndarray:
-    """Sample `sessions` sessions of `rounds` i.i.d. states from dos with
-    the nulls' draw: session s maps the uniforms of seed.split(s) to states.
-    Returns the states, shape (sessions, rounds); states[s] equals
-    simulate_chain(dos, np.tile(dos, (r, 1)), rounds, seed.split(s)).
+    """Sample `sessions` sessions of `rounds` i.i.d. states from each row
+    of dos, shape (T, r), with the nulls' draw, one treatment's uniforms at
+    a time. Returns the states, shape (T, sessions, rounds); they equal
+    simulate_sessions(dos, np.tile(dos[:, None], (1, r, 1)), ...).
 
     Raises:
-        InvalidDistributionError: dos fails normalization beyond 1e-9.
+        InvalidDistributionError: a dos fails normalization beyond 1e-9.
     """
     dos = np.asarray(dos, dtype=float)
+    if dos.ndim != 2:
+        raise ValueError(f"dos must have shape (T, r), got {dos.shape}")
     _check_distribution(dos, "dos")
     if sessions < 1 or rounds < 2:
         raise ValueError("sessions must be >= 1 and rounds >= 2")
-    return _iid_states(_uniforms(seed)(0, sessions, rounds), _cuts(dos))
+    t_count, r = dos.shape
+    roots = _split_roots(_split_roots(seed.root, 0, t_count), 0, sessions)
+    uniforms = _uniforms()
+    states = np.zeros((t_count, sessions, rounds), dtype=state_dtype(r))
+    for t_states, t_roots, t_cuts in zip(states, roots, _cuts(dos)):
+        _iid_states(uniforms(t_roots, rounds), t_cuts, t_states)
+    return states
 
 
 def simulate_iid_bytes(treatments: int, sessions: int, rounds: int, r: int) -> int:
-    """Bytes held at the peak of drawing `treatments` simulate_iid states
-    one after another and keeping each: every treatment's states, each with
-    a 160-byte array object; for the one being drawn, its float64 uniforms
-    and a one-byte mask per state, 96 bytes of stream keys per session and
-    64 KiB for the stream."""
-    itemsize = state_dtype(r).itemsize
-    per_treatment = itemsize * sessions * rounds + 160
-    return treatments * per_treatment + 9 * sessions * rounds + 96 * sessions + 2**16
+    """Bytes simulate_iid holds at its peak for these sizes: every state,
+    the DOSs and their cuts, 96 bytes of stream keys per session, the
+    treatment being drawn's float64 uniforms and one-byte mask per state,
+    and 64 KiB for the stream."""
+    held = state_dtype(r).itemsize * treatments * sessions * rounds + 16 * treatments * r
+    return held + 96 * treatments * sessions + 9 * sessions * rounds + 2**16
 
 
 def _null_chunk(
@@ -452,7 +445,7 @@ def _null_chunk(
     r = dos.size
     n = int(ends[-1]) + 1
     cuts = _cuts(dos)
-    uniforms = _uniforms(seed)
+    uniforms = _uniforms()
     block = max(1, min(_BLOCK_DRAWS // n, _BLOCK_CELLS // (r * r)))
     group = block * max(1, _GROUP_CELLS // (block * r * r))
     ent = np.empty(hi - lo)
@@ -461,11 +454,12 @@ def _null_chunk(
         group_hi = min(group_lo + group, hi)
         occupancy = np.empty((group_hi - group_lo, r), dtype=np.int64)
         counts = np.empty((group_hi - group_lo, r, r), dtype=np.int64)
+        roots = _split_roots(seed.root, group_lo, group_hi)
         for start in range(group_lo, group_hi, block):
             stop = min(start + block, group_hi)
             rows = slice(start - group_lo, stop - group_lo)
             occupancy[rows], counts[rows] = pair_counts(
-                _iid_states(uniforms(start, stop, n), cuts), ends, r
+                _iid_states(uniforms(roots[rows], n), cuts), ends, r
             )
         group_dos, transition = chain_from_counts(occupancy, counts)
         rows = slice(group_lo - lo, group_hi - lo)

@@ -994,18 +994,18 @@ class TestExitCodesAndDeterminism:
         self, capsys, monkeypatch, tmp_path
     ):
         # 3 treatments x 2 sessions x 10 rounds on 4 states: 480 B of
-        # uniforms, 60 B of uint8 states, 160 B of one treatment's uniforms
-        # while they are drawn, 768 B of transitions and cuts, 512 B of cuts
-        # and 760 B of one session as Python objects, 64 KiB for the stream,
-        # and 3 x (1024 + 2 x 96) B of dataset objects = 71924 B
-        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 71924}
+        # uniforms, 60 B of uint8 states, 576 B of the 6 sessions' stream
+        # keys, 768 B of transitions and cuts, 512 B of cuts and 760 B of
+        # one session as Python objects, 64 KiB for the stream, and
+        # 3 x (1024 + 2 x 96) B of dataset objects = 72340 B
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 72340}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
         args = ("--model", "square-cycle", "--drive-sweep", "0.5,0.6,0.7",
                 "--sessions", "2", "--rounds", "10")
         out = tmp_path / "x.csv"
         code, _, _ = run_cli(capsys, "simulate", "--output", str(out), *args)
         assert code == 0 and out.exists()
-        pages["SC_PHYS_PAGES"] = 71923
+        pages["SC_PHYS_PAGES"] = 72339
         out = tmp_path / "y.csv"
         code, _, err = run_cli(capsys, "simulate", "--output", str(out), *args)
         assert code == 1 and not out.exists()
@@ -1014,18 +1014,18 @@ class TestExitCodesAndDeterminism:
     def test_vnm_memory_check_counts_uniforms_and_masks(
         self, capsys, monkeypatch, tmp_path
     ):
-        # 3 treatments x 2 sessions x 10 rounds: 60 B of uint8 states and
-        # 3 x 160 B of their array objects, 180 B of uniforms and masks for
-        # the treatment being drawn, 192 B of its stream keys, 64 KiB for
-        # the stream, and 3 x (1024 + 2 x 96) B of dataset objects = 70096 B
-        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 70096}
+        # 3 treatments x 2 sessions x 10 rounds: 60 B of uint8 states, 192 B
+        # of DOSs and cuts, 576 B of the 6 sessions' stream keys, 180 B of
+        # uniforms and masks for the treatment being drawn, 64 KiB for the
+        # stream, and 3 x (1024 + 2 x 96) B of dataset objects = 70192 B
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 70192}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
         args = ("--model", "vnm", "--treatments", "3", "--sessions", "2",
                 "--rounds", "10")
         out = tmp_path / "x.csv"
         code, _, _ = run_cli(capsys, "simulate", "--output", str(out), *args)
         assert code == 0 and out.exists()
-        pages["SC_PHYS_PAGES"] = 70095
+        pages["SC_PHYS_PAGES"] = 70191
         out = tmp_path / "y.csv"
         code, _, err = run_cli(capsys, "simulate", "--output", str(out), *args)
         assert code == 1 and not out.exists()

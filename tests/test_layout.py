@@ -356,7 +356,7 @@ def test_every_producer_holds_states_as_state_dtype(tmp_path, r):
         *(d.states for d in (by_sessions, by_rows, *loaded)),
         simulate_chain(dos0, chain, 20, Seed(1)),
         simulate_sessions([dos0], [chain], 2, 20, Seed(1)),
-        simulate_iid(dos0, 2, 20, Seed(1)),
+        simulate_iid([dos0], 2, 20, Seed(1))[0],
     ]
     if r <= nullmodels._LOCKSTEP_STATES:
         lanes = nullmodels._LOCKSTEP_LANES

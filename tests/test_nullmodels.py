@@ -71,9 +71,9 @@ def product_dos(p, q):
 
 
 def draw_vnm(params, seed):
-    """One treatment of `simulate --model vnm`: simulate_iid of params'
+    """Treatment 0 of a `simulate --model vnm` file: simulate_iid of params'
     product DOS."""
-    return simulate_iid(params.dos, params.sessions, params.rounds_per_session, seed)
+    return simulate_iid([params.dos], params.sessions, params.rounds_per_session, seed)[0]
 
 
 def _sparse_dos(r):
@@ -113,19 +113,19 @@ class TestSeed:
     def test_rekeyed_philox_matches_generator(self):
         """_uniforms re-keys one Philox; Seed.generator() defines the stream."""
         rng = np.random.default_rng(11)
-        roots = [0, 1, (1 << 63) - 1, 1 << 63, (1 << 64) - 1]
-        roots += rng.integers(0, 1 << 63, size=20).tolist()
-        for root in roots:
-            uniforms = nullmodels._uniforms(Seed(root))
-            for n in (1, 3, 4, 5, 192, 1001):
-                lo = int(rng.integers(0, 1000))
-                hi = lo + int(rng.integers(1, 12))
-                fast = uniforms(lo, hi, n)
-                slow = [
-                    Seed(root).split(k).generator().random(n)
-                    for k in range(lo, hi)
-                ]
-                assert np.array_equal(fast, np.array(slow))
+        pool = [0, 1, (1 << 63) - 1, 1 << 63, (1 << 64) - 1]
+        pool += rng.integers(0, 1 << 63, size=20).tolist()
+        uniforms = nullmodels._uniforms()
+        for n in (1, 3, 4, 5, 192, 1001):
+            roots = rng.choice(pool, size=int(rng.integers(1, 12))).tolist()
+            fast = uniforms(np.array(roots, dtype=np.uint64), n)
+            slow = [Seed(root).generator().random(n) for root in roots]
+            assert np.array_equal(fast, np.array(slow))
+        grid = np.array(pool[:6], dtype=np.uint64).reshape(2, 3)
+        fast = uniforms(grid, 7)
+        assert fast.shape == (2, 3, 7)
+        for index, root in np.ndenumerate(grid):
+            assert np.array_equal(fast[index], Seed(int(root)).generator().random(7))
 
     @pytest.mark.parametrize("root", [0, 1 << 63, (1 << 64) - 1, 0x5DEECE66D])
     @pytest.mark.parametrize(
@@ -143,21 +143,25 @@ class TestSeed:
         assert roots.tolist() == [Seed(root).split(k).root for k in range(lo, hi)]
 
     @pytest.mark.parametrize("root", [0, 1 << 63, (1 << 64) - 1])
-    @pytest.mark.parametrize("lo, width", [((1 << 32) + 5, 3), ((1 << 64) - 600, 1)])
-    def test_uniforms_in_consecutive_blocks(self, root, lo, width):
-        """Consecutive blocks share key passes and cross from one pass into
-        the next, up to the last 64-bit replicate index, with no
-        RuntimeWarning from uint64 wraparound."""
-        uniforms = nullmodels._uniforms(Seed(root))
-        starts = range(lo, lo + 600 - width + 1, width)
+    @pytest.mark.parametrize(
+        "t_lo, t_hi, s_lo, s_hi",
+        [(0, 3, 0, 5), ((1 << 64) - 4, (1 << 64) - 1, 0, 2),
+         (0, 2, (1 << 64) - 3, (1 << 64) - 1), ((1 << 32) + 5, (1 << 32) + 8, 7, 9)],
+    )
+    def test_grid_roots_match_split_of_split(self, root, t_lo, t_hi, s_lo, s_hi):
+        """Split roots of an array of roots: the (T, S) grid of stream keys
+        is every Seed(root).split(t).split(s).root, with uint64 wraparound
+        and no RuntimeWarning."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fast = np.concatenate([uniforms(k, k + width, 5) for k in starts])
-        slow = [
-            Seed(root).split(k).generator().random(5)
-            for k in range(starts[0], starts[-1] + width)
+            grid = nullmodels._split_roots(
+                nullmodels._split_roots(root, t_lo, t_hi), s_lo, s_hi
+            )
+        assert grid.dtype == np.uint64
+        assert grid.tolist() == [
+            [Seed(root).split(t).split(s).root for s in range(s_lo, s_hi)]
+            for t in range(t_lo, t_hi)
         ]
-        assert np.array_equal(fast, np.array(slow))
 
 
 def test_cli_import_leaves_process_pool_unloaded():

@@ -179,7 +179,7 @@ def traced_peak(fn, *args, **kwargs) -> int:
     """The peak of the memory tracemalloc traces while fn(*args, **kwargs) runs.
     A draw is made first, so that the modules numpy.random imports on first
     use (about 1 MB, once per process) stay out of the peak."""
-    simulate_iid([1.0], 1, 2, Seed(0))
+    simulate_iid([[1.0]], 1, 2, Seed(0))
     tracemalloc.start()
     try:
         fn(*args, **kwargs)
@@ -226,15 +226,9 @@ def test_simulate_sessions_bytes_bounds_traced_peak(treatments, sessions, rounds
      (2, 1000, 50)],
 )
 def test_simulate_vnm_bytes_bounds_traced_peak(treatments, sessions, rounds):
-    # the i.i.d. models, vnm and iid, draw one treatment at a time
+    # the i.i.d. models, vnm and iid, draw every treatment in one call
     dos = VnmParams(p=0.4, q=0.6, sessions=sessions, rounds_per_session=rounds).dos
-
-    def keep_each_treatment():
-        return [
-            simulate_iid(dos, sessions, rounds, Seed(5).split(t)) for t in range(treatments)
-        ]
-
-    peak = traced_peak(keep_each_treatment)
+    peak = traced_peak(simulate_iid, np.tile(dos, (treatments, 1)), sessions, rounds, Seed(5))
     assert peak <= simulate_iid_bytes(treatments, sessions, rounds, 4)
     for model in ("vnm", "iid"):
         assert_simulate_bytes_bound_traced_peak(model, treatments, sessions, rounds, 4)
@@ -249,42 +243,78 @@ def test_simulate_bytes_bound_traced_peak_of_many_short_treatments(model):
 @pytest.mark.parametrize("case", range(40))
 def test_simulate_iid_matches_simulate_sessions(case):
     # a tiled DOS is a chain whose every row is the DOS: the same states,
-    # in the same type, whether drawn i.i.d. or walked
+    # in the same type and on the same streams, whether drawn i.i.d. or walked
     rng = np.random.default_rng(7100 + case)
     r = int(rng.integers(2, 81))
-    dos = rng.random(r) * (rng.random(r) < 0.6)
-    dos[rng.integers(0, r)] += 0.1
-    dos /= dos.sum()
     treatments = int(rng.integers(1, 4))
+    dos = rng.random((treatments, r)) * (rng.random((treatments, r)) < 0.6)
+    dos[np.arange(treatments), rng.integers(0, r, treatments)] += 0.1
+    dos /= dos.sum(axis=1, keepdims=True)
     lanes = nullmodels._LOCKSTEP_LANES
     sessions = int(rng.choice([1, lanes // 3, lanes - 1, lanes, lanes + 5]))
     rounds = int(rng.integers(2, 40))
     seed = Seed(int(rng.integers(0, 2**63)))
-    walked = simulate_sessions(
-        np.tile(dos, (treatments, 1)), np.tile(dos, (treatments, r, 1)),
-        sessions, rounds, seed,
-    )
-    for t in range(treatments):
-        drawn = simulate_iid(dos, sessions, rounds, seed.split(t))
-        assert drawn.dtype == walked.dtype == state_dtype(r)
-        assert np.array_equal(drawn, walked[t]), t
+    walked = simulate_sessions(dos, np.tile(dos[:, None], (1, r, 1)), sessions, rounds, seed)
+    drawn = simulate_iid(dos, sessions, rounds, seed)
+    assert drawn.dtype == walked.dtype == state_dtype(r)
+    assert np.array_equal(drawn, walked)
+
+
+@pytest.mark.parametrize("treatments", [1, 5])
+@pytest.mark.parametrize("generator", ["simulate_iid", "simulate_sessions"])
+def test_one_call_constructs_one_philox(monkeypatch, generator, treatments):
+    # every (treatment, session) lane re-keys the same bit generator
+    made = []
+    philox = np.random.Philox
+
+    def counting_philox(*args, **kwargs):
+        made.append(args or kwargs)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    dos = np.full((treatments, 3), 1 / 3)
+    if generator == "simulate_iid":
+        states = simulate_iid(dos, 4, 6, Seed(9))
+    else:
+        states = simulate_sessions(dos, np.tile(dos[:, None], (1, 3, 1)), 4, 6, Seed(9))
+    assert states.shape == (treatments, 4, 6)
+    assert len(made) == 1
 
 
 def test_simulate_iid_rejects_bad_arguments():
     with pytest.raises(InvalidDistributionError, match="dos"):
-        simulate_iid([0.5, 0.6], 2, 10, Seed(0))
+        simulate_iid([[0.5, 0.5], [0.5, 0.6]], 2, 10, Seed(0))
+    with pytest.raises(ValueError, match="shape"):
+        simulate_iid([0.5, 0.5], 2, 10, Seed(0))
     with pytest.raises(ValueError, match="sessions"):
-        simulate_iid([0.5, 0.5], 0, 10, Seed(0))
+        simulate_iid([[0.5, 0.5]], 0, 10, Seed(0))
     with pytest.raises(ValueError, match="rounds"):
-        simulate_iid([0.5, 0.5], 2, 1, Seed(0))
+        simulate_iid([[0.5, 0.5]], 2, 1, Seed(0))
 
 
 def test_simulate_sessions_rejects_bad_distributions():
     transitions = np.stack([np.eye(3), np.full((3, 3), 0.4)])
     with pytest.raises(InvalidDistributionError, match="transition row 0"):
         simulate_sessions(np.full((2, 3), 1 / 3), transitions, 2, 10, Seed(0))
+    # the first failing row in treatment-major order: row 2 of treatment 1
+    transitions = np.stack([np.eye(3), np.eye(3)])
+    transitions[1, 2] = [0.5, 0.25, 0.125]
+    with pytest.raises(
+        InvalidDistributionError, match=r"transition row 2 .*; got sum 0\.875$"
+    ):
+        simulate_sessions(np.full((2, 3), 1 / 3), transitions, 2, 10, Seed(0))
     with pytest.raises(InvalidDistributionError, match="dos0"):
         simulate_sessions([[1 / 3] * 3, [0.5, 0.2, 0.2]], [np.eye(3)] * 2, 2, 10, Seed(0))
+    # NaN and ±inf fail every comparison they meet, so each must be caught
+    for bad in (np.nan, np.inf, -np.inf):
+        transitions = np.stack([np.eye(3), np.eye(3)])
+        transitions[1, 1] = [bad, 0.5, 0.5]
+        with pytest.raises(InvalidDistributionError, match="transition row 1 .*got sum"):
+            simulate_sessions(np.full((2, 3), 1 / 3), transitions, 2, 10, Seed(0))
+        dos0 = np.full((2, 3), 1 / 3)
+        dos0[0, 2] = bad
+        with pytest.raises(InvalidDistributionError, match="dos0"):
+            simulate_sessions(dos0, [np.eye(3)] * 2, 2, 10, Seed(0))
     with pytest.raises(ValueError, match="shape"):
         simulate_sessions(np.full((2, 3), 1 / 3), [np.eye(3)], 2, 10, Seed(0))
 
