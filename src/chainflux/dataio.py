@@ -14,13 +14,15 @@ space. The two encodings are never mixed within one file.
 
 Cells follow csv's default dialect and int(cell.strip()); invalid UTF-8 is
 a ParseError naming its line, and every error names the first offending
-line. load_csv reads the body in _BLOCK_BYTES blocks cut at line ends.
-A strict block (see _Records._scan) is parsed with numpy (_line_bounds,
-_cell_bounds, _run_starts, _int_cells and _Records._take); csv.reader reads
-any other quote-free block on its own, and every block from the first with
-a quote on (_Records.add_csv). Memory is one block's index arrays plus one
-state per row, held as core.state_dtype(r), until each treatment's session
-bytes are joined once into the states of its TreatmentDataset.
+line. load_csv reads the file in _BLOCK_BYTES blocks cut at line ends; the
+body starts at the byte after the header (_header). A strict block (see
+_Records._scan) is parsed with numpy (_line_bounds, _cell_bounds,
+_run_starts, _int_cells and _Records._take). One csv path (_csv_reader)
+reads every other line: a quoted header, any other quote-free block on its
+own, and every block from the first with a quote on (_Records.add_csv).
+Memory is one block's index arrays plus one state per row, held as
+core.state_dtype(r), until each treatment's session bytes are joined once
+into the states of its TreatmentDataset.
 
 write_csv walks each dataset's session offsets and writes the bytes
 csv.writer would: each session's id prefix is built once (_csv_prefix),
@@ -107,12 +109,6 @@ _MAX_DIGITS = 18
 _INT64 = np.iinfo(np.int64)
 # _LOW_BYTES[k]: a uint64 mask of the low k bytes, 0 <= k <= 8
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
-# Bytes that make a row non-blank: ASCII other than commas and whitespace. A
-# row that does not start with one is checked with str.strip(), as csv is.
-_TEXT_BYTE = np.array(
-    [c < 128 and c != ord(",") and not chr(c).isspace() for c in range(256)]
-)
-
 
 
 @dataclasses.dataclass(frozen=True)
@@ -198,12 +194,11 @@ def load_csv(path, space: StateSpace) -> list[TreatmentDataset]:
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     with fh:
-        lines = _Lines(_blocks(fh, fh.read(len(_BOM)).removeprefix(_BOM)), 0)
-        header = next(lines.rows(), None)
-        if lines.error:
-            raise lines.error
-        if header is None:
+        blocks = _blocks(fh, fh.read(len(_BOM)).removeprefix(_BOM))
+        block = next(blocks, None)
+        if block is None:
             raise ParseError(f"{path.name}: empty file", line=1)
+        header, line, rest = _header(block, blocks)
         header = [h.strip().lower() for h in header]
 
         has_state = "state" in header
@@ -223,8 +218,7 @@ def load_csv(path, space: StateSpace) -> list[TreatmentDataset]:
             raise ConfigError(f"{path.name}: action pairs need the 4-state square space")
 
         records = _Records(space.size, action_encoding=header == _ACTION_HEADER)
-        body = lines.rest()
-        line = lines.line + 1
+        body = itertools.chain([rest], blocks) if rest else blocks
         for block in body:
             if b'"' in block:
                 records.add_csv(itertools.chain([block], body), line)
@@ -248,6 +242,39 @@ def _blocks(fh, carry: bytes):
         yield carry
 
 
+def _header(block: bytes, blocks) -> tuple[list[str], int, bytes]:
+    """The header's cells, the number of the line after its record, and the
+    rest of `block`, the file's first block (`blocks` are the others).
+
+    A valid UTF-8 first line with no quote, no NUL (which Python 3.10's csv
+    rejects) and at most csv.field_size_limit() bytes is split on commas, as
+    csv would split it. csv reads any other header record; one that runs
+    past the first block is joined, once, with the blocks it reaches into.
+    """
+
+    def end_of_line(n: int) -> int:  # the byte after line n of the block
+        ends = [m.end() for m in itertools.islice(_LINE_END.finditer(block), n)]
+        return ends[-1] if len(ends) == n else len(block)
+
+    end = end_of_line(1)
+    first = block[:end]
+    if b'"' not in first and b"\0" not in first and end <= csv.field_size_limit():
+        with contextlib.suppress(UnicodeDecodeError):
+            return first.decode("utf-8").rstrip("\r\n").split(","), 2, block[end:]
+    spanned: list[bytes] = []  # csv takes a block only when the record reaches it
+    blocks = (spanned.append(b) or b for b in itertools.chain([block], blocks))
+    failed: list[ParseError] = []
+    reader = _csv_reader(blocks, 1, failed)
+    try:
+        header = next(reader, [])
+    except csv.Error as exc:  # a field over csv.field_size_limit()
+        raise ParseError(str(exc), reader.line_num) from None
+    if failed:  # the record runs into a line with invalid UTF-8
+        raise failed[0]
+    block = b"".join(spanned)
+    return header, reader.line_num + 1, block[end_of_line(reader.line_num) :]
+
+
 def _utf8_lines(block: bytes) -> tuple[bytes, UnicodeDecodeError | None]:
     """The block and None, or, when it holds invalid UTF-8, the lines before
     the one with the first bad byte and the decode error."""
@@ -261,76 +288,23 @@ def _utf8_lines(block: bytes) -> tuple[bytes, UnicodeDecodeError | None]:
     return block, None
 
 
-def _texts(blocks, line: int, failed: list):
-    """Line iterators over the decoded blocks, whose first line is `line`.
-    Invalid UTF-8 ends them after the lines before it, with its ParseError
-    appended to `failed`."""
-    for block in blocks:
-        block, bad = _utf8_lines(block)
-        yield io.StringIO(block.decode("utf-8"), newline="")
-        # lines in the block; it ends at a line end unless it is the last
-        line += block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
-        if bad:
-            failed.append(_utf8_error(bad, line))
-            return
+def _csv_reader(blocks, line: int, failed: list):
+    """A csv reader over the decoded blocks, whose first line is `line`.
+    Invalid UTF-8 ends its input after the lines before it, with its
+    ParseError appended to `failed`."""
 
+    def texts(line: int):
+        for block in blocks:
+            block, bad = _utf8_lines(block)
+            yield io.StringIO(block.decode("utf-8"), newline="")
+            # lines in the block; it ends at a line end unless it is the last
+            line += block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
+            if bad:
+                byte = f"0x{bad.object[bad.start]:02x}"
+                failed.append(ParseError(f"invalid UTF-8 byte {byte} ({bad.reason})", line))
+                return
 
-def _utf8_error(exc: UnicodeDecodeError, line: int) -> ParseError:
-    return ParseError(
-        f"invalid UTF-8 byte 0x{exc.object[exc.start]:02x} ({exc.reason})", line
-    )
-
-
-class _Lines:
-    """Iterator over the physical lines of a block stream, decoded one at a
-    time and split where csv splits them (\\r\\n, \\r or \\n), so that the
-    header can be read with csv and the body taken from the byte after it.
-
-    Invalid UTF-8, or a row csv rejects (a field over csv.field_size_limit),
-    ends the stream and is kept in `error`; `line` counts the lines handed
-    out.
-    """
-
-    def __init__(self, blocks, line: int):
-        self.blocks = iter(blocks)
-        self.buf = b""
-        self.pos = 0
-        self.line = line
-        self.error: ParseError | None = None
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> str:
-        if self.pos == len(self.buf):
-            self.buf, self.pos = next(self.blocks), 0
-        end = _LINE_END.search(self.buf, self.pos)
-        end = end.end() if end else len(self.buf)
-        raw, self.pos = self.buf[self.pos : end], end
-        self.line += 1
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            self.error = _utf8_error(exc, self.line)
-            self.blocks, self.pos = iter(()), len(self.buf)
-            raise StopIteration from None
-
-    def rows(self):
-        """The csv rows of the remaining lines."""
-        try:
-            yield from csv.reader(self)
-        except csv.Error as exc:
-            self.error = ParseError(str(exc), self.line)
-
-    def rest(self):
-        """The blocks after the last line handed out."""
-        if self.pos < len(self.buf):
-            return itertools.chain([self.buf[self.pos :]], self.blocks)
-        return self.blocks
-
-
-def _is_blank(text: str) -> bool:
-    return all(not cell.strip() for cell in text.split(","))
+    return csv.reader(itertools.chain.from_iterable(texts(line)))
 
 
 def _ints(texts) -> tuple[np.ndarray, np.ndarray]:
@@ -475,7 +449,7 @@ class _Records:
         (quotes may hide commas and line ends); return the number of the
         line after them."""
         failed: list[ParseError] = []
-        reader = csv.reader(itertools.chain.from_iterable(_texts(blocks, line, failed)))
+        reader = _csv_reader(blocks, line, failed)
         line -= 1
         while True:
             batch, lines = [], []
@@ -499,8 +473,9 @@ class _Records:
     def _scan(self, block: bytes, line: int) -> tuple[_Rows, int] | None:
         """Split a strict block into rows and cells with numpy; None for any
         other block. Strict: valid UTF-8, line ends all \\n or all \\r\\n,
-        the block's commas form the (rows, n_cols - 1) grid of its non-blank
-        rows, and every number cell is 1 to _MAX_DIGITS ASCII digits."""
+        the block's commas form the (rows, n_cols - 1) grid of its rows, and
+        every number cell is 1 to _MAX_DIGITS ASCII digits. A blank row has
+        no digits in its number cells, so a block with one is not strict."""
         if _utf8_lines(block)[1]:
             return None
         buf = np.frombuffer(block + bytes(_MAX_DIGITS), dtype=np.uint8)
@@ -509,14 +484,6 @@ class _Records:
         if bounds is None:
             return None
         starts, stops = bounds
-        n_lines = starts.size
-        rows = np.arange(n_lines)
-        keep = _TEXT_BYTE[a[starts]]
-        if not keep.all():
-            for i in np.flatnonzero(~keep):
-                keep[i] = not _is_blank(block[starts[i] : stops[i]].decode("utf-8"))
-            rows = np.flatnonzero(keep)
-            starts, stops = starts[rows], stops[rows]
 
         def cells(i):
             return block[starts[i] : stops[i]].decode("utf-8").split(",")
@@ -534,7 +501,8 @@ class _Records:
         lo, hi = (bounds[0][run_starts] + 1).tolist(), bounds[2][run_starts].tolist()
         prefixes = [block[i:j] for i, j in zip(lo, hi)]
         keys = [self.keys.get(p) or self._key(p) for p in prefixes]
-        return _Rows(line + rows, numbers, True, run_starts, keys, cells), n_lines
+        lines = line + np.arange(starts.size)
+        return _Rows(lines, numbers, True, run_starts, keys, cells), starts.size
 
     def _csv_rows(self, batch: list[list[str]], lines: list[int]) -> _Rows:
         """The rows csv read, with C-level maps and zips over whole columns."""

@@ -430,12 +430,14 @@ def _null_chunk(
     ends: np.ndarray,
     policy: ZeroFluxPolicy,
     seed: Seed,
+    entropy: bool,
     lo: int,
     hi: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(entropy, EPR) samples of the replicates [lo, hi): each draws one
-    i.i.d. state from dos per record, in sessions whose last states are at
-    the indices `ends` (see core.pair_counts), and estimates its chain.
+) -> np.ndarray:
+    """Samples of the replicates [lo, hi), one row per observable: entropy
+    (only if `entropy`), then EPR. Each replicate draws one i.i.d. state
+    from dos per record, in sessions whose last states are at the indices
+    `ends` (see core.pair_counts), and estimates its chain.
 
     A block holds at most _BLOCK_DRAWS uniforms and _BLOCK_CELLS pair
     counts, and at least one replicate. A group gathers the counts of whole
@@ -448,8 +450,7 @@ def _null_chunk(
     uniforms = _uniforms()
     block = max(1, min(_BLOCK_DRAWS // n, _BLOCK_CELLS // (r * r)))
     group = block * max(1, _GROUP_CELLS // (block * r * r))
-    ent = np.empty(hi - lo)
-    pro = np.empty(hi - lo)
+    samples = np.empty((1 + entropy, hi - lo))
     for group_lo in range(lo, hi, group):
         group_hi = min(group_lo + group, hi)
         occupancy = np.empty((group_hi - group_lo, r), dtype=np.int64)
@@ -463,9 +464,10 @@ def _null_chunk(
             )
         group_dos, transition = chain_from_counts(occupancy, counts)
         rows = slice(group_lo - lo, group_hi - lo)
-        ent[rows] = entropy_batch(group_dos)
-        pro[rows], _ = epr_batch(group_dos[:, :, None] * transition, policy)
-    return ent, pro
+        if entropy:
+            samples[0, rows] = entropy_batch(group_dos)
+        samples[-1, rows], _ = epr_batch(group_dos[:, :, None] * transition, policy)
+    return samples
 
 
 def _chunk_ranges(reps: int, workers: int) -> list[tuple[int, int]]:
@@ -488,14 +490,16 @@ def _run_chunks(
     policy: ZeroFluxPolicy,
     seed: Seed,
     workers: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(entropy, EPR) samples of `reps` _null_chunk replicates, in replicate
-    order, drawn in-process or in a process pool of at most `workers`."""
+    entropy: bool,
+) -> np.ndarray:
+    """The _null_chunk samples of `reps` replicates, one row per observable,
+    in replicate order, drawn in-process or in a process pool of at most
+    `workers`."""
     if reps < 2:
         raise ValueError("reps must be >= 2")
     workers = min(workers, _usable_cpus())
     ranges = _chunk_ranges(reps, workers)
-    args = (dos, ends, policy, seed)
+    args = (dos, ends, policy, seed, entropy)
     if workers <= 1 or len(ranges) == 1:
         results = [_null_chunk(*args, lo, hi) for lo, hi in ranges]
     else:
@@ -506,8 +510,7 @@ def _run_chunks(
         with ProcessPoolExecutor(max_workers=min(workers, len(ranges))) as pool:
             futures = [pool.submit(_null_chunk, *args, lo, hi) for lo, hi in ranges]
             results = [f.result() for f in futures]
-    ent, pro = zip(*results)
-    return np.concatenate(ent), np.concatenate(pro)
+    return np.concatenate(results, axis=1)
 
 
 def vnm_null_distribution(
@@ -530,7 +533,8 @@ def vnm_null_distribution(
     """
     rounds = params.rounds_per_session
     ends = np.arange(rounds - 1, params.sessions * rounds, rounds)
-    return _run_chunks(params.dos, ends, reps, policy, seed, workers)
+    entropy, epr = _run_chunks(params.dos, ends, reps, policy, seed, workers, True)
+    return entropy, epr
 
 
 def dos_baseline(
@@ -555,4 +559,5 @@ def dos_baseline(
     if n_rounds < 2:
         raise ValueError("n_rounds must be >= 2")
     ends = np.array([n_rounds - 1])
-    return _run_chunks(dos, ends, reps, policy, seed, workers)[1]
+    [epr] = _run_chunks(dos, ends, reps, policy, seed, workers, False)
+    return epr

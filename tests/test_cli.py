@@ -955,12 +955,12 @@ class TestExitCodesAndDeterminism:
         )
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, arrays", [("cycle-test", 4), ("minimax-test", 6)])
+    @pytest.mark.parametrize("command, arrays", [("cycle-test", 2), ("minimax-test", 6)])
     def test_reps_check_counts_every_held_sample_array(
         self, capsys, monkeypatch, tmp_path, command, arrays
     ):
-        # entropy and EPR per chunk and once concatenated; minimax-test also
-        # holds their running sums across treatments
+        # EPR per chunk and once concatenated; minimax-test also holds
+        # entropy beside it, and both running sums across treatments
         reps = 1000
         pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": arrays * 8 * reps}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)

@@ -338,6 +338,20 @@ def test_long_unquoted_cell_is_read(tmp_path):
     assert sessions_of(datasets[0])[0][1].tolist() == [0, 3]
 
 
+@pytest.mark.parametrize("block_bytes", [8, 16, 32, 64, BLOCK_BYTES])
+def test_quote_inside_unquoted_cell_is_literal(tmp_path, block_bytes):
+    """A quote inside an unquoted cell is a literal character, so the parity
+    of quotes does not follow csv's state: at the end of the line '"y' the
+    count is even, yet csv is inside the quoted cell 'y\\nz'."""
+    text = 'treatment_id,session_id,round,state\nt,a"b,1,0\n"y\nz",s,1,2\nt,a"b,2,1\n'
+    path = write(tmp_path, text.encode())
+    assert_same_as_loop(path, square_2x2(), block_bytes)
+    datasets = load_csv(path, square_2x2())
+    assert [d.treatment_id for d in datasets] == ["t", "y\nz"]
+    assert [sid for sid, _ in sessions_of(datasets[0])] == ['a"b']
+    assert sessions_of(datasets[0])[0][1].tolist() == [0, 1]
+
+
 def test_error_before_invalid_utf8_wins(tmp_path):
     path = write(
         tmp_path, b"treatment_id,session_id,round,state\nt,s,1,9\nt,s,2,\xff\n"
@@ -479,6 +493,8 @@ IRREGULAR_ROWS = {
     "19-digit round": lambda cells: ",".join([*cells[:2], str(10**18), *cells[3:]])
     + "\r\n",
     "wrong column count": lambda cells: ",".join([*cells, "7"]) + "\r\n",
+    "blank row before": lambda cells: "\r\n" + ",".join(cells) + "\r\n",
+    "blank cells before": lambda cells: " , ,,,\t\r\n" + ",".join(cells) + "\r\n",
 }
 
 
@@ -498,3 +514,60 @@ def test_only_the_irregular_block_goes_through_csv(tmp_path, monkeypatch, case):
     assert_same_as_loop(path, square_2x2(), BLOCK_BYTES)
     # the first of the file's two blocks is strict; the second holds the row
     assert len(calls) == 1 and calls[0] > 2
+
+
+def spy_on_csv(monkeypatch) -> list[int]:
+    """The first line of each call to _Records.add_csv, from now on."""
+    calls = []
+    add_csv = dataio._Records.add_csv
+
+    def spy(self, blocks, line):
+        calls.append(line)
+        return add_csv(self, blocks, line)
+
+    monkeypatch.setattr(dataio._Records, "add_csv", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "header",
+    ['"treatment_id",session_id,round,row_action,col_action',
+     '"treatment_id","session_id","round","row_action","col_action"',
+     '"treatment_id\r\n",session_id,round,row_action,col_action'],
+    ids=["one quoted cell", "all quoted", "quoted line end"],
+)
+@pytest.mark.parametrize("block_bytes", [64, BLOCK_BYTES])
+def test_quoted_header_keeps_the_body_on_numpy(tmp_path, monkeypatch, header, block_bytes):
+    """csv reads the header record alone; the body starts on the numpy path
+    at the byte after it."""
+    rows = strict_rows(5000)
+    path = write(tmp_path, (header + "\r\n" + "".join(rows)).encode())
+    calls = spy_on_csv(monkeypatch)
+    assert_same_as_loop(path, square_2x2(), block_bytes)
+    assert calls == []
+
+
+def test_header_record_past_the_first_block(tmp_path, monkeypatch):
+    """A quoted header cell that spans blocks is read whole, and the body
+    still starts on the numpy path."""
+    header = '"treatment_id' + "\n" * 40 + '",session_id,round,state\n'
+    rows = [f"t,s,{k + 1},{k % 4}\n" for k in range(40)]
+    path = write(tmp_path, (header + "".join(rows)).encode())
+    calls = spy_on_csv(monkeypatch)
+    monkeypatch.setattr(dataio, "_BLOCK_BYTES", 16)
+    assert_same_as_loop(path, square_2x2(), 16)
+    assert calls == []
+    # the header record is lines 1 to 41
+    with pytest.raises(ParseError, match="expected 4 columns") as exc:
+        load_csv(write(tmp_path, (header + "t,s,1,0,x\n").encode()), square_2x2())
+    assert exc.value.line == 42
+
+
+def test_long_unquoted_id_after_a_quoted_header(tmp_path):
+    """The body after a quoted header is not read by csv, whose field size
+    limit would refuse this id."""
+    tid = "x" * (csv.field_size_limit() + 1)
+    text = f'"treatment_id",session_id,round,state\n{tid},s,1,0\n{tid},s,2,3\n'
+    datasets = load_csv(write(tmp_path, text.encode()), square_2x2())
+    assert datasets[0].treatment_id == tid
+    assert sessions_of(datasets[0])[0][1].tolist() == [0, 3]

@@ -12,7 +12,7 @@ from concurrent.futures import Future
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import chi2, ks_2samp, kstest
 
 import chainflux.nullmodels as nullmodels
 from chainflux import (
@@ -541,6 +541,30 @@ class TestBlockKernelMatchesLoop:
         ]
         with pytest.raises(OneSidedZeroFluxError, match=r"\(1, 2\).*forward=0\.01666"):
             dos_baseline([0.25] * 4, 60, 50, STRICT, Seed(2024))
+
+
+class TestLargeSampleLaw:
+    """On long designs with every state occupied, the scaled EPR
+    X = n_pairs * EPR * ln r / 2 of i.i.d. states follows chi-square with
+    (r - 1)(r - 2) / 2 degrees of freedom, whatever the DOS: an oracle that
+    needs no second implementation of the nulls."""
+
+    @staticmethod
+    def assert_chi2_3(epr_samples, n_pairs):
+        x = n_pairs * epr_samples * np.log(4) / 2
+        # bounds about 4.5 standard errors wide at 3000 replicates
+        assert abs(x.mean() - 3) < 0.2
+        assert abs(x.var() - 6) < 1.2
+        assert kstest(x, chi2(3).cdf).pvalue > 0.01
+
+    def test_dos_baseline(self):
+        samples = dos_baseline([0.1, 0.2, 0.3, 0.4], 5000, 3000, SKIP, Seed(1))
+        self.assert_chi2_3(samples, 4999)
+
+    def test_vnm_null(self):
+        params = VnmParams(p=0.4, q=0.6, sessions=10, rounds_per_session=500)
+        _, samples = vnm_null_distribution(params, 3000, SKIP, Seed(1))
+        self.assert_chi2_3(samples, 10 * 499)
 
 
 class _RecordingPool:
