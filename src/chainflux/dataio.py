@@ -18,8 +18,8 @@ line. load_csv reads the file in _BLOCK_BYTES blocks cut at line ends; the
 body starts at the byte after the header (_header). A strict block (see
 _Records._scan) is parsed with numpy (_line_bounds, _cell_bounds,
 _run_starts, _int_cells and _Records._take). One csv path (_csv_reader)
-reads every other line: a quoted header, any other quote-free block on its
-own, and every block from the first with a quote on (_Records.add_csv).
+reads every other line: the header record, any other quote-free block on
+its own, and every block from the first with a quote on (_Records.add_csv).
 Memory is one block's index arrays plus one state per row, held as
 core.state_dtype(r), until each treatment's session bytes are joined once
 into the states of its TreatmentDataset.
@@ -243,36 +243,28 @@ def _blocks(fh, carry: bytes):
 
 
 def _header(block: bytes, blocks) -> tuple[list[str], int, bytes]:
-    """The header's cells, the number of the line after its record, and the
-    rest of `block`, the file's first block (`blocks` are the others).
-
-    A valid UTF-8 first line with no quote, no NUL (which Python 3.10's csv
-    rejects) and at most csv.field_size_limit() bytes is split on commas, as
-    csv would split it. csv reads any other header record; one that runs
-    past the first block is joined, once, with the blocks it reaches into.
-    """
-
-    def end_of_line(n: int) -> int:  # the byte after line n of the block
-        ends = [m.end() for m in itertools.islice(_LINE_END.finditer(block), n)]
-        return ends[-1] if len(ends) == n else len(block)
-
-    end = end_of_line(1)
-    first = block[:end]
-    if b'"' not in first and b"\0" not in first and end <= csv.field_size_limit():
-        with contextlib.suppress(UnicodeDecodeError):
-            return first.decode("utf-8").rstrip("\r\n").split(","), 2, block[end:]
-    spanned: list[bytes] = []  # csv takes a block only when the record reaches it
-    blocks = (spanned.append(b) or b for b in itertools.chain([block], blocks))
+    """The header's cells, read by csv, the number of the line after its
+    record, and the rest of `block`, the file's first block. csv gets the
+    first line alone, so a one-line record decodes no more; a longer one is
+    joined once with the lines and `blocks` (the others) it reaches into."""
+    first = _LINE_END.search(block)
+    end = first.end() if first else len(block)
+    rest = block[end:]
+    later: list[bytes] = []  # csv takes a block only when the record reaches it
+    pieces = itertools.chain([block[:end], rest], (later.append(b) or b for b in blocks))
     failed: list[ParseError] = []
-    reader = _csv_reader(blocks, 1, failed)
+    reader = _csv_reader(pieces, 1, failed)
     try:
         header = next(reader, [])
     except csv.Error as exc:  # a field over csv.field_size_limit()
         raise ParseError(str(exc), reader.line_num) from None
     if failed:  # the record runs into a line with invalid UTF-8
         raise failed[0]
-    block = b"".join(spanned)
-    return header, reader.line_num + 1, block[end_of_line(reader.line_num) :]
+    rest = b"".join([rest, *later])
+    n = reader.line_num - 1  # lines of the record after the first
+    ends = [0, *(m.end() for m in itertools.islice(_LINE_END.finditer(rest), n))]
+    end = ends[n] if len(ends) > n else len(rest)  # the last line may have no end
+    return header, reader.line_num + 1, rest[end:]
 
 
 def _utf8_lines(block: bytes) -> tuple[bytes, UnicodeDecodeError | None]:
@@ -473,9 +465,8 @@ class _Records:
     def _scan(self, block: bytes, line: int) -> tuple[_Rows, int] | None:
         """Split a strict block into rows and cells with numpy; None for any
         other block. Strict: valid UTF-8, line ends all \\n or all \\r\\n,
-        the block's commas form the (rows, n_cols - 1) grid of its rows, and
-        every number cell is 1 to _MAX_DIGITS ASCII digits. A blank row has
-        no digits in its number cells, so a block with one is not strict."""
+        the block's commas form the (rows, n_cols - 1) grid of its non-blank
+        rows, and every number cell is 1 to _MAX_DIGITS ASCII digits."""
         if _utf8_lines(block)[1]:
             return None
         buf = np.frombuffer(block + bytes(_MAX_DIGITS), dtype=np.uint8)
@@ -484,6 +475,18 @@ class _Records:
         if bounds is None:
             return None
         starts, stops = bounds
+        n_lines = starts.size
+        rows = np.arange(n_lines)
+        # csv skips a row whose text str.strip() empties; only a row that
+        # starts with a control byte, a space or a non-ASCII byte can be one
+        first = a[starts]
+        maybe_blank = (first <= ord(" ")) | (first >= 0x80)
+        if maybe_blank.any():
+            keep = ~maybe_blank
+            for i in np.flatnonzero(maybe_blank).tolist():
+                keep[i] = bool(block[starts[i] : stops[i]].decode("utf-8").strip())
+            rows = np.flatnonzero(keep)
+            starts, stops = starts[rows], stops[rows]
 
         def cells(i):
             return block[starts[i] : stops[i]].decode("utf-8").split(",")
@@ -501,8 +504,7 @@ class _Records:
         lo, hi = (bounds[0][run_starts] + 1).tolist(), bounds[2][run_starts].tolist()
         prefixes = [block[i:j] for i, j in zip(lo, hi)]
         keys = [self.keys.get(p) or self._key(p) for p in prefixes]
-        lines = line + np.arange(starts.size)
-        return _Rows(lines, numbers, True, run_starts, keys, cells), starts.size
+        return _Rows(line + rows, numbers, True, run_starts, keys, cells), n_lines
 
     def _csv_rows(self, batch: list[list[str]], lines: list[int]) -> _Rows:
         """The rows csv read, with C-level maps and zips over whole columns."""

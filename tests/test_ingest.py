@@ -493,8 +493,8 @@ IRREGULAR_ROWS = {
     "19-digit round": lambda cells: ",".join([*cells[:2], str(10**18), *cells[3:]])
     + "\r\n",
     "wrong column count": lambda cells: ",".join([*cells, "7"]) + "\r\n",
-    "blank row before": lambda cells: "\r\n" + ",".join(cells) + "\r\n",
-    "blank cells before": lambda cells: " , ,,,\t\r\n" + ",".join(cells) + "\r\n",
+    "blank row with commas before": lambda cells: " , ,,,\t\r\n" + ",".join(cells)
+    + "\r\n",
 }
 
 
@@ -514,6 +514,24 @@ def test_only_the_irregular_block_goes_through_csv(tmp_path, monkeypatch, case):
     assert_same_as_loop(path, square_2x2(), BLOCK_BYTES)
     # the first of the file's two blocks is strict; the second holds the row
     assert len(calls) == 1 and calls[0] > 2
+
+
+@pytest.mark.parametrize("blank", ["", "  \t", "\u00a0", "\x1c"])
+def test_blank_rows_without_commas_stay_on_numpy(tmp_path, monkeypatch, blank):
+    """csv skips a blank row; a strict block drops one that holds no comma
+    and stays on the numpy path, one blank row every 100 rows or not."""
+    rows = strict_rows(5000)
+    for k in range(len(rows) - 50, 0, -100):
+        rows.insert(k, blank + "\r\n")
+    path = write(tmp_path, strict_file(rows))
+    calls = spy_on_csv(monkeypatch)
+    assert_same_as_loop(path, square_2x2(), BLOCK_BYTES)
+    assert calls == []
+    # csv's field size limit does not reach an unquoted id in such a block
+    tid = "x" * (csv.field_size_limit() + 1)
+    text = f"treatment_id,session_id,round,state\n{tid},s,1,0\n{blank}\n{tid},s,2,3\n"
+    datasets = load_csv(write(tmp_path, text.encode()), square_2x2())
+    assert sessions_of(datasets[0])[0][1].tolist() == [0, 3]
 
 
 def spy_on_csv(monkeypatch) -> list[int]:
